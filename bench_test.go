@@ -1,7 +1,9 @@
 // Package repro's root benchmarks regenerate every table and figure of the
-// paper's evaluation (see DESIGN.md's experiment index) as testing.B
-// benchmarks. Scales are reduced so `go test -bench=.` completes in
-// minutes; cmd/experiments runs the same harness at full scale.
+// paper's evaluation as testing.B benchmarks (the end-to-end benchmark is
+// declared in BENCHMARK.json; perfbench/catalog.json describes its
+// workloads and metrics). Scales are reduced so `go test -bench=.`
+// completes in minutes; cmd/experiments runs the same harness at full
+// scale.
 //
 //	T1  -> BenchmarkTable1StorageDGE
 //	T2  -> BenchmarkTable2Storage1000G

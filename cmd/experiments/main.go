@@ -1,6 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md's experiment index) and prints
-// paper-style result tables.
+// evaluation section and prints paper-style result tables. The end-to-end
+// benchmark is declared in BENCHMARK.json; perfbench/catalog.json
+// describes its workloads and metrics.
 //
 // Usage:
 //

@@ -222,7 +222,8 @@ func tsqlProcCount(db *core.Database, guid string) (int64, error) {
 }
 
 // ChunkSizeAblation measures the chunked scan at several paging buffer
-// sizes (the design-choice ablation of DESIGN.md).
+// sizes — a design-choice ablation run by cmd/experiments, outside the
+// end-to-end benchmark of BENCHMARK.json and perfbench/catalog.json.
 func ChunkSizeAblation(readsFASTQ []byte, workDir string, sizes []int) ([]WrapResult, error) {
 	path := filepath.Join(workDir, "ablate.fastq")
 	if err := os.WriteFile(path, readsFASTQ, 0o644); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sqltypes"
 )
 
 // Access-path equivalence: the planner may answer a predicate through a
@@ -131,6 +132,96 @@ func TestAccessPathEquivalenceFuzz(t *testing.T) {
 	// Aggregates and ordering over each path.
 	fuzzSelect(t, db, `SELECT s, COUNT(*), SUM(b) FROM fz WHERE a >= 100 AND a < 300 GROUP BY s`)
 	fuzzSelect(t, db, `SELECT a, b FROM fz WHERE a > 450 ORDER BY a, b, s`)
+}
+
+// TestCompositeIndexEquivalence drives equality-prefix sarging through
+// the same forced-path sweep: prefixes with closed, open-ended, exclusive
+// and empty ranges on a two-column index holding NULLs in both key
+// columns, string keys that embed "\x00", and float constants against an
+// integer key column, which must not become bounds. The table is never
+// ANALYZEd, so the cost-based route sizes the index by dives alone.
+func TestCompositeIndexEquivalence(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{DOP: 4, ParallelThreshold: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defer func() { db.planner.ForcePath = "" }()
+
+	mustExec(t, db, `CREATE TABLE cx (g INT, pos INT, s VARCHAR(16), k INT)`)
+	strs := []string{"", "a", "a\x00", "a\x00b", "a\x01", "ab", "b\x00\x00"}
+	rng := rand.New(rand.NewSource(7))
+	var rows []sqltypes.Row
+	for i := 0; i < 3000; i++ {
+		g, pos := sqltypes.NewInt(int64(1+rng.Intn(4))), sqltypes.NewInt(int64(rng.Intn(1000)))
+		if i%13 == 0 {
+			g = sqltypes.Null
+		}
+		if i%17 == 0 {
+			pos = sqltypes.Null
+		}
+		rows = append(rows, sqltypes.Row{g, pos, sqltypes.NewString(strs[rng.Intn(len(strs))]), sqltypes.NewInt(int64(rng.Intn(100)))})
+		if len(rows) == 500 {
+			if err := db.InsertRows("cx", rows); err != nil {
+				t.Fatal(err)
+			}
+			rows = rows[:0]
+		}
+	}
+	mustExec(t, db, `CREATE INDEX ix_gp ON cx(g, pos)`)
+	mustExec(t, db, `CREATE INDEX ix_sk ON cx(s, k)`)
+	mustExec(t, db, `CHECKPOINT`)
+	inflight := db.NewSession()
+	if err := inflight.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inflight.Exec(`INSERT INTO cx VALUES (2, 150, 'a', 5), (2, NULL, 'a', 5), (NULL, 150, 'ab', 1)`); err != nil {
+		t.Fatal(err)
+	}
+	defer inflight.Rollback()
+
+	db.planner.ForcePath = "index"
+	for q, want := range map[string]string{
+		`SELECT k FROM cx WHERE g = 2 AND pos >= 100 AND pos < 400`: "ix_gp (2, 100..400) entries",
+		`SELECT k FROM cx WHERE pos <= 7 AND g = 3`:                 "ix_gp (3, ..7) entries",
+		`SELECT k FROM cx WHERE s = 'a` + "\x00" + `' AND k = 4`:    "ix_sk (a\x00, 4) entries",
+	} {
+		if res := mustExec(t, db, "EXPLAIN "+q); !strings.Contains(res.Plan, want) {
+			t.Fatalf("%s: want %q in plan:\n%s", q, want, res.Plan)
+		}
+	}
+	// A float constant cannot bound an integer key column: no index route.
+	if res := mustExec(t, db, `EXPLAIN SELECT k FROM cx WHERE g = 2.5`); strings.Contains(res.Plan, "Index Scan") {
+		t.Fatalf("float constant sarged an integer key column:\n%s", res.Plan)
+	}
+
+	for _, pred := range []string{
+		"g = 2 AND pos >= 100 AND pos < 400", // prefix + closed range
+		"g = 3 AND pos > 900",                // prefix + open end
+		"g = 1 AND pos <= 50",                // prefix + open start (skips NULL pos)
+		"g = 2 AND pos > 100 AND pos < 200",  // exclusive bounds
+		"g = 4 AND pos > 100 AND pos <= 100", // empty range
+		"g = 4 AND pos > 600 AND pos < 300",  // inverted, empty
+		"g = 4",                              // bare prefix keeps NULL pos
+		"g = 1 AND pos = 77",                 // two-column prefix
+		"g >= 3",                             // range on the first column skips NULL g
+		"g < 2 AND pos = 5",                  // range stops the prefix
+		"pos >= 10 AND pos < 20",             // no leading bound
+		"g = 2.0 AND pos >= 100",             // float vs int: pos only, no prefix
+		"g = 2 AND pos >= 100.5",             // float vs int: prefix only
+		"g = 2.5",
+		"g = 9",
+		"s = 'a'",
+		"s = 'a\x00'",
+		"s = 'a\x00' AND k < 50",
+		"s > 'a' AND s < 'ab'",
+		"s >= 'a\x00'",
+		"s > 'a\x00'",
+		"s <= 'a\x00b'",
+		"s = ''",
+	} {
+		fuzzSelect(t, db, "SELECT g, pos, s, k FROM cx WHERE "+pred)
+	}
 }
 
 const indexTortureRows = 500

@@ -176,10 +176,12 @@ type tableData struct {
 	tree     *btree.BTree  // clustered tables
 	walCodec storage.RowCodec
 	// writeMu is the table's write latch: writers hold it exclusively per
-	// row insert (and rollback key deletes); clustered-table scans hold
-	// it shared for their duration because the btree iterator walks pages
-	// unlatched. Heap scans never take it — MVCC snapshots make heap
-	// reads safe against concurrent appends.
+	// row insert (and rollback key deletes). The btree iterator walks
+	// pages unlatched, so B-tree readers hold it shared: clustered-table
+	// scans for their duration, secondary-index scans and the planner's
+	// index dives only while they read one chunk of entries. Heap scans
+	// and heap row fetches never take it — MVCC snapshots make heap reads
+	// safe against concurrent appends.
 	writeMu sync.RWMutex
 	// versions is the table's MVCC state: which rows belong to which
 	// transaction, and at which commit sequence they became visible.

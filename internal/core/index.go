@@ -14,6 +14,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/fault"
+	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -498,98 +499,186 @@ func rowIdxVisible(ranges []rowRange, idx int64) bool {
 	return i < len(ranges) && idx >= ranges[i].start
 }
 
-// indexScanBounds encodes value bounds on the index's first column as
-// entry-key bounds for btree.Seek (end-exclusive). Entry keys extend the
-// value encoding with more columns and the position suffix, whose first
-// byte is always a type tag < 0xFF — so enc(v)‖0xFF sits after every
-// v-entry and before any larger value's entries.
-func indexScanBounds(lo, hi *sqltypes.Value, loInc, hiInc bool) (start, end []byte, err error) {
-	if lo == nil {
-		// Past every NULL entry: comparison predicates never match NULL.
-		start = []byte{0x01}
-	} else {
-		start, err = btree.AppendKey(nil, sqltypes.Row{*lo})
-		if err != nil {
-			return nil, nil, err
-		}
-		if !loInc {
-			start = append(start, 0xFF)
-		}
+// indexRangeKeys encodes a key range as entry-key bounds for btree.Seek
+// (start inclusive, end exclusive). Every value encoding starts with a
+// type tag <= 0x05 (NULL is 0x00) and strings are escaped to be
+// prefix-free, so after an encoded prefix p:
+//
+//   - p‖0xFF sorts after every entry that starts with p (an open end),
+//   - p‖0x01 sorts after the entries whose next column is NULL and before
+//     every other one (an open start: ranges never match NULL),
+//   - enc(p, v)‖0xFF sorts after every entry whose next column is v (an
+//     exclusive start or inclusive end at v).
+func indexRangeKeys(r plan.IndexRange) (start, end []byte, err error) {
+	prefix, err := btree.AppendKey(nil, r.Prefix)
+	if err != nil {
+		return nil, nil, err
 	}
-	if hi != nil {
-		end, err = btree.AppendKey(nil, sqltypes.Row{*hi})
+	extend := func(tail ...byte) []byte {
+		return append(append(make([]byte, 0, len(prefix)+len(tail)), prefix...), tail...)
+	}
+	bound := func(v sqltypes.Value, past bool) ([]byte, error) {
+		k, err := btree.AppendKey(extend(), sqltypes.Row{v})
 		if err != nil {
+			return nil, err
+		}
+		if past {
+			k = append(k, 0xFF)
+		}
+		return k, nil
+	}
+	switch {
+	case r.Lo != nil:
+		if start, err = bound(*r.Lo, !r.LoInc); err != nil {
 			return nil, nil, err
 		}
-		if hiInc {
-			end = append(end, 0xFF)
+	case r.Hi != nil:
+		start = extend(0x01)
+	default:
+		start = prefix
+	}
+	switch {
+	case r.Hi != nil:
+		if end, err = bound(*r.Hi, r.HiInc); err != nil {
+			return nil, nil, err
 		}
+	case len(prefix) > 0:
+		end = extend(0xFF)
 	}
 	return start, end, nil
 }
+
+// indexScanChunk is how many visible entries an index scan reads per
+// hold of the table's write latch.
+const indexScanChunk = 256
 
 // indexScanIterator walks index entries in key order, filters each heap
 // position against the scan's snapshot, and fetches the row through the
 // buffer pool (a last-page cache makes runs over clustered values decode
 // each page once).
+//
+// The B-tree iterator walks pages unlatched, so entries are read under the
+// table's write latch (shared) — but only a chunk at a time: the scan
+// collects up to indexScanChunk visible positions, releases the latch,
+// fetches those rows (heap fetches latch themselves), then re-seeks
+// strictly past the last key read. Writers therefore wait for one chunk,
+// never for a whole scan. Between chunks the index may gain entries and
+// split pages: appended rows lie outside the snapshot's visible ranges,
+// and the re-seek by key is unaffected by page layout. Compactions, which
+// move rows, need the structure lock exclusively and so cannot run while
+// the scan's statement holds it.
 type indexScanIterator struct {
-	it     *btree.Iterator
+	tree   *btree.BTree
 	td     *tableData
+	next   []byte // start key of the next chunk
+	end    []byte
+	done   bool
 	ranges []rowRange
 	cache  *storage.HeapFetchCache
-	locked bool
+	chunk  []int64
+	pos    int
 }
 
 func (x *indexScanIterator) Next() (sqltypes.Row, bool, error) {
-	for {
-		if !x.it.Next() {
-			return nil, false, x.it.Err()
+	for x.pos == len(x.chunk) {
+		if x.done {
+			return nil, false, nil
 		}
-		idx, ok := indexEntryRowIdx(x.it.Key())
-		if !ok {
-			return nil, false, fmt.Errorf("core: malformed index entry in %s", x.td.def.Name)
-		}
-		if !rowIdxVisible(x.ranges, idx) {
-			continue
-		}
-		row, err := x.td.heap.FetchRowCached(idx, x.cache)
-		if err != nil {
+		if err := x.fill(); err != nil {
 			return nil, false, err
 		}
-		return row, true, nil
 	}
+	idx := x.chunk[x.pos]
+	x.pos++
+	row, err := x.td.heap.FetchRowCached(idx, x.cache)
+	if err != nil {
+		return nil, false, err
+	}
+	return row, true, nil
 }
 
-func (x *indexScanIterator) Close() error {
-	x.it.Close()
-	if x.locked {
-		x.td.writeMu.RUnlock()
-		x.locked = false
+// fill reads the next chunk of visible heap positions under the latch.
+func (x *indexScanIterator) fill() error {
+	x.chunk, x.pos = x.chunk[:0], 0
+	x.td.writeMu.RLock()
+	defer x.td.writeMu.RUnlock()
+	it, err := x.tree.Seek(x.next, x.end)
+	if err != nil {
+		return err
 	}
+	defer it.Close()
+	for len(x.chunk) < indexScanChunk {
+		if !it.Next() {
+			x.done = true
+			return it.Err()
+		}
+		idx, ok := indexEntryRowIdx(it.Key())
+		if !ok {
+			return fmt.Errorf("core: malformed index entry in %s", x.td.def.Name)
+		}
+		if rowIdxVisible(x.ranges, idx) {
+			x.chunk = append(x.chunk, idx)
+		}
+	}
+	// Entry keys are unique, so key‖0x00 is the least key after this one.
+	x.next = append(append(x.next[:0], it.Key()...), 0x00)
 	return nil
 }
 
-// IndexScan returns a serial operator scanning the named secondary index
-// over [lo, hi] bounds on its first column (nil = open; loInc/hiInc select
-// inclusive bounds), emitting heap rows in index-key order. The scan holds
-// the table's write latch shared for its duration, exactly like clustered
-// scans — the btree iterator walks pages unlatched.
-func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error) {
+func (x *indexScanIterator) Close() error {
+	x.done = true
+	return nil
+}
+
+// indexFor resolves a named secondary index of a heap table.
+func (db *Database) indexFor(t *catalog.Table, idxName string) (*tableData, *indexData, error) {
 	td := db.tables[t.ID]
 	if td == nil || td.heap == nil {
-		return nil, fmt.Errorf("core: %s has no heap storage for an index scan", t.Name)
+		return nil, nil, fmt.Errorf("core: %s has no heap storage for an index scan", t.Name)
 	}
-	var ix *indexData
-	for _, cand := range td.indexes {
-		if strings.EqualFold(cand.name, idxName) {
-			ix = cand
-			break
+	for _, ix := range td.indexes {
+		if strings.EqualFold(ix.name, idxName) {
+			return td, ix, nil
 		}
 	}
-	if ix == nil {
-		return nil, fmt.Errorf("core: no index %q on %s", idxName, t.Name)
+	return nil, nil, fmt.Errorf("core: no index %q on %s", idxName, t.Name)
+}
+
+// IndexRangeCount counts the entries of a secondary index in r, stopping
+// at limit. Dead and uncommitted rows' entries count too: the planner
+// sizes candidates with it, so it must be cheap, not exact.
+func (db *Database) IndexRangeCount(t *catalog.Table, idxName string, r plan.IndexRange, limit int64) (int64, error) {
+	td, ix, err := db.indexFor(t, idxName)
+	if err != nil {
+		return 0, err
 	}
-	startKey, endKey, err := indexScanBounds(lo, hi, loInc, hiInc)
+	start, end, err := indexRangeKeys(r)
+	if err != nil {
+		return 0, err
+	}
+	td.writeMu.RLock()
+	defer td.writeMu.RUnlock()
+	it, err := ix.tree.Seek(start, end)
+	if err != nil {
+		return 0, err
+	}
+	defer it.Close()
+	var n int64
+	for n < limit && it.Next() {
+		n++
+	}
+	return n, it.Err()
+}
+
+// IndexScan returns a serial operator scanning the entries of the named
+// secondary index that fall in r, emitting heap rows in index-key order
+// under the statement's snapshot.
+func (db *Database) IndexScan(t *catalog.Table, idxName string, r plan.IndexRange) (exec.Operator, error) {
+	td, ix, err := db.indexFor(t, idxName)
+	if err != nil {
+		return nil, err
+	}
+	startKey, endKey, err := indexRangeKeys(r)
 	if err != nil {
 		return nil, err
 	}
@@ -601,18 +690,13 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes
 			if ctx != nil {
 				snap, _ = ctx.Snapshot.(*Snapshot)
 			}
-			td.writeMu.RLock()
-			it, err := ix.tree.Seek(startKey, endKey)
-			if err != nil {
-				td.writeMu.RUnlock()
-				return nil, err
-			}
 			return db.wrapIterator(def, &indexScanIterator{
-				it:     it,
+				tree:   ix.tree,
 				td:     td,
+				next:   append([]byte(nil), startKey...), // fill reuses it
+				end:    endKey,
 				ranges: td.versions.visibleRanges(snap),
 				cache:  storage.NewHeapFetchCache().SetPoolTally(poolTallyFrom(ctx)),
-				locked: true,
 			}), nil
 		},
 	}, nil

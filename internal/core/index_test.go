@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/sqltypes"
 )
 
@@ -43,7 +45,7 @@ func TestCreateIndexBuildAndScan(t *testing.T) {
 	}
 	lo, hi := sqltypes.NewInt(100), sqltypes.NewInt(200)
 	db.mu.RLock()
-	op, err := db.IndexScan(def, "idx_pos", &lo, &hi, true, false)
+	op, err := db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true})
 	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +79,7 @@ func TestCreateIndexBuildAndScan(t *testing.T) {
 	defer db.Close()
 	def = db.Catalog().Get("g")
 	db.mu.RLock()
-	op, err = db.IndexScan(def, "idx_pos", &lo, &hi, true, false)
+	op, err = db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true})
 	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +93,7 @@ func TestCreateIndexBuildAndScan(t *testing.T) {
 		t.Fatal("catalog kept the dropped index")
 	}
 	db.mu.RLock()
-	_, err = db.IndexScan(def, "idx_pos", &lo, &hi, true, false)
+	_, err = db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true})
 	db.mu.RUnlock()
 	if err == nil {
 		t.Fatal("IndexScan over a dropped index succeeded")
@@ -121,15 +123,97 @@ func TestIndexRollbackUndo(t *testing.T) {
 	if err := s.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := sqltypes.NewInt(42), sqltypes.NewInt(42)
 	def := db.Catalog().Get("r")
 	db.mu.RLock()
-	op, err := db.IndexScan(def, "idx_v", &lo, &hi, true, true)
+	op, err := db.IndexScan(def, "idx_v", plan.IndexRange{Prefix: sqltypes.Row{sqltypes.NewInt(42)}})
 	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(drainOp(t, db, op)); got != 1 {
 		t.Fatalf("point lookup after rollback: %d rows, want 1", got)
+	}
+}
+
+// TestIndexScanReleasesLatchBetweenChunks: an open index scan holds the
+// table's write latch only while it reads a chunk of entries, so a writer
+// commits while the scan is mid-flight instead of queueing until Close.
+// The scan still returns exactly the rows of its snapshot, in key order.
+// Run with -race in CI.
+func TestIndexScanReleasesLatchBetweenChunks(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE w (v INT, tag VARCHAR(8))`)
+	const n = 4*indexScanChunk + 37 // more than three chunks
+	var rows []sqltypes.Row
+	for i := 0; i < n; i++ {
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(n - i)), sqltypes.NewString("old")})
+	}
+	if err := db.InsertRows("w", rows); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE INDEX idx_v ON w(v)`)
+
+	lo := sqltypes.NewInt(0)
+	db.mu.RLock()
+	op, err := db.IndexScan(db.Catalog().Get("w"), "idx_v", plan.IndexRange{Lo: &lo, LoInc: true})
+	db.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db.tm.readSnapshot()
+	defer db.tm.releaseSnapshot(snap)
+	if err := op.Open(db.execContext(snap)); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	first, ok, err := op.Next()
+	if err != nil || !ok {
+		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	}
+	seen := []int64{first[0].I}
+
+	// Rows landing inside and after the scanned key range, committed from
+	// another session while the scan is open.
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.NewSession().Exec(`INSERT INTO w VALUES (5, 'new'), (700, 'new'), (5000, 'new')`)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("insert blocked behind an open index scan")
+	}
+
+	for {
+		row, ok, err := op.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if row[1].S != "old" {
+			t.Fatalf("scan surfaced a row committed after its snapshot: %v", row)
+		}
+		seen = append(seen, row[0].I)
+	}
+	if len(seen) != n {
+		t.Fatalf("scan returned %d rows, want its snapshot's %d", len(seen), n)
+	}
+	for i, v := range seen {
+		if v != int64(i+1) {
+			t.Fatalf("row %d: v=%d, want %d (key order, no duplicates)", i, v, i+1)
+		}
+	}
+	if res := mustExec(t, db, `SELECT COUNT(*) FROM w WHERE v = 5`); res.Rows[0][0].I != 2 {
+		t.Fatalf("later statement sees %v rows at v=5, want 2", res.Rows[0][0])
 	}
 }

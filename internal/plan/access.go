@@ -24,6 +24,11 @@ import (
 //   - secondary-index range scan: a B-tree descent, the matching index
 //     entries, and one heap fetch per matching row.
 //
+// An index candidate's key range takes equality bounds on its leading key
+// columns as a prefix, then the range on the next column. Its entry count
+// comes from the index itself — a dive that stops once the index can no
+// longer beat the heap — so the choice needs no ANALYZE.
+//
 // Page cost is deliberately separate from the output-row estimate: a
 // selective predicate shrinks the output of any path, but only an index
 // or zone pruning shrinks the pages actually read.
@@ -32,12 +37,14 @@ import (
 type sargRange struct {
 	lo, hi       *sqltypes.Value
 	loInc, hiInc bool
-	// sel is the estimated combined selectivity of the conjuncts that
-	// produced the bounds — the index scan's matching-entry fraction.
-	sel float64
+	// conjuncts counts the pushed conjuncts folded into the bounds.
+	conjuncts int
 }
 
-func (r *sargRange) bounded() bool { return r.lo != nil || r.hi != nil }
+// point reports whether the bounds pin the column to a single value.
+func (r *sargRange) point() bool {
+	return r.lo != nil && r.hi != nil && r.loInc && r.hiInc && sqltypes.Compare(*r.lo, *r.hi) == 0
+}
 
 func (r *sargRange) tightenLo(v sqltypes.Value, inc bool) {
 	if r.lo == nil {
@@ -91,7 +98,7 @@ func sargValue(v sqltypes.Value, k sqltypes.Kind) (sqltypes.Value, bool) {
 // sargableRanges extracts per-column bounds from pushed conjuncts of the
 // shape `col op const` (either operand order; ops =, <, <=, >, >=).
 // Conjuncts on the same column intersect. Keys are column positions.
-func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed []sqlparse.Expr) map[int]*sargRange {
+func sargableRanges(sc *scope, tab *catalog.Table, pushed []sqlparse.Expr) map[int]*sargRange {
 	var out map[int]*sargRange
 	for _, c := range pushed {
 		b, ok := c.(*sqlparse.Binary)
@@ -127,7 +134,7 @@ func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed 
 		}
 		r := out[idx]
 		if r == nil {
-			r = &sargRange{sel: 1}
+			r = &sargRange{}
 			out[idx] = r
 		}
 		switch op {
@@ -143,7 +150,7 @@ func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed 
 		case "<=":
 			r.tightenHi(sv, true)
 		}
-		r.sel *= conjunctSelectivity(ts, c)
+		r.conjuncts++
 	}
 	return out
 }
@@ -176,31 +183,60 @@ func zoneFiltersFrom(ranges map[int]*sargRange) []storage.ZoneFilter {
 	return out
 }
 
-// indexChoice is a candidate secondary index with the sargable range on
-// its first key column.
+// indexChoice is a candidate secondary index sized by a bounded dive.
 type indexChoice struct {
 	idx *catalog.Index
-	rng *sargRange
+	rng IndexRange
+	// conjuncts counts the pushed conjuncts the key range consumes.
+	conjuncts int
+	// entries is the dive's count; capped marks a dive stopped at its
+	// limit (the range holds at least that many entries).
+	entries int64
+	capped  bool
 }
 
-// pickIndex selects the candidate index whose first-column range is
-// estimated most selective; nil when no index has a bounded range.
-func pickIndex(tab *catalog.Table, ranges map[int]*sargRange) *indexChoice {
+// indexRangeFor derives an index's key range from the sargable bounds:
+// point bounds on leading key columns extend the prefix, and the first
+// column bounded otherwise closes it as the range. ok is false when the
+// first key column has no bound.
+func indexRangeFor(ix *catalog.Index, ranges map[int]*sargRange) (r IndexRange, conjuncts int, ok bool) {
+	for _, c := range ix.Columns {
+		sr := ranges[c]
+		if sr == nil {
+			break
+		}
+		conjuncts += sr.conjuncts
+		if !sr.point() {
+			r.Lo, r.Hi, r.LoInc, r.HiInc = sr.lo, sr.hi, sr.loInc, sr.hiInc
+			break
+		}
+		r.Prefix = append(r.Prefix, *sr.lo)
+	}
+	return r, conjuncts, conjuncts > 0
+}
+
+// diveIndexes sizes every candidate index by counting the entries in its
+// key range, stopping at limit — the entry count past which an index
+// scan costs more than the heap alternative — and returns the candidate
+// with the fewest entries (nil when no index has a bound on its first
+// key column).
+func (pl *Planner) diveIndexes(tab *catalog.Table, ranges map[int]*sargRange, limit int64) (*indexChoice, error) {
 	var best *indexChoice
 	for i := range tab.Indexes {
 		ix := &tab.Indexes[i]
-		if len(ix.Columns) == 0 {
+		r, conjuncts, ok := indexRangeFor(ix, ranges)
+		if !ok {
 			continue
 		}
-		r := ranges[ix.Columns[0]]
-		if r == nil || !r.bounded() {
-			continue
+		n, err := pl.Provider.IndexRangeCount(tab, ix.Name, r, limit)
+		if err != nil {
+			return nil, err
 		}
-		if best == nil || r.sel < best.rng.sel {
-			best = &indexChoice{idx: ix, rng: r}
+		if best == nil || n < best.entries {
+			best = &indexChoice{idx: ix, rng: r, conjuncts: conjuncts, entries: n, capped: n >= limit}
 		}
 	}
-	return best
+	return best, nil
 }
 
 // Page-cost model constants: the assumed rows per heap page when the
@@ -277,16 +313,18 @@ func orderedOnIdent(rel *relation, id *sqlparse.Ident) bool {
 
 // indexScanNode builds the serial index-path relation: an index range
 // scan (rows arrive in index-key order) under a re-checking filter for
-// the full pushed predicate — bounds only constrain the first index
-// column, and re-checking keeps the operator correct even where bound
-// arithmetic and filter semantics could drift.
+// the full pushed predicate — the key range covers only the conjuncts on
+// a prefix of the index columns, and re-checking keeps the operator
+// correct even where bound arithmetic and filter semantics could drift.
 func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta,
 	choice *indexChoice, pred expr.Expr, est int64, ts *stats.TableStats) *relation {
 
-	idxName := choice.idx.Name
-	lo, hi := choice.rng.lo, choice.rng.hi
-	loInc, hiInc := choice.rng.loInc, choice.rng.hiInc
-	detail := fmt.Sprintf("[%s] %s (%s..%s)", tab.Name, idxName, boundStr(lo), boundStr(hi))
+	idxName, rng := choice.idx.Name, choice.rng
+	cmp := "="
+	if choice.capped {
+		cmp = ">="
+	}
+	detail := fmt.Sprintf("[%s] %s %s entries%s%d", tab.Name, idxName, rng, cmp, choice.entries)
 	if pred != nil {
 		detail += fmt.Sprintf(" WHERE:(%s)", pred)
 	}
@@ -296,7 +334,7 @@ func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta
 		Cols:   cols,
 		Est:    est,
 		Build: func() (exec.Operator, error) {
-			op, err := pl.Provider.IndexScan(tab, idxName, lo, hi, loInc, hiInc)
+			op, err := pl.Provider.IndexScan(tab, idxName, rng)
 			if err != nil {
 				return nil, err
 			}

@@ -94,22 +94,33 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 
 	// Access-path selection (see access.go): sargable bounds from the
 	// pushed conjuncts yield zone filters and index candidates, priced by
-	// estimated page I/O against the full scan.
+	// estimated page I/O against the full scan. Each candidate's entry
+	// count comes from a dive into the index that stops one entry past
+	// the heap's page cost, where the index can no longer win.
 	var zoneFilters []storage.ZoneFilter
-	var idxCand *indexChoice
+	var ranges map[int]*sargRange
 	if !tab.Clustered {
-		ranges := sargableRanges(sc, tab, ts, pushed)
+		ranges = sargableRanges(sc, tab, pushed)
 		zoneFilters = zoneFiltersFrom(ranges)
-		idxCand = pickIndex(tab, ranges)
 	}
 	keptPages, totalPages := int64(0), int64(0)
 	if len(zoneFilters) > 0 {
 		keptPages, totalPages = pl.Provider.HeapPageStats(tab, zoneFilters)
 	}
+	heapCost := heapScanCost(rawEst, keptPages, totalPages)
+	idxCand, err := pl.diveIndexes(tab, ranges, int64(heapCost)+1)
+	if err != nil {
+		return nil, nil, err
+	}
 	useIndex := false
 	if idxCand != nil {
-		idxRows := scaleEst(rawEst, idxCand.rng.sel)
-		useIndex = indexScanCost(idxRows) < heapScanCost(rawEst, keptPages, totalPages)
+		useIndex = indexScanCost(idxCand.entries) < heapCost
+		// A range that consumes every pushed conjunct holds exactly the
+		// matching rows (less invisible ones), so its count is the
+		// output estimate.
+		if idxCand.conjuncts == len(pushed) && !idxCand.capped {
+			est = idxCand.entries
+		}
 	}
 	switch pl.ForcePath {
 	case "full":

@@ -53,11 +53,15 @@ type Provider interface {
 	// "no information" and the planner falls back to cardinality-based
 	// page costing.
 	HeapPageStats(t *catalog.Table, filters []storage.ZoneFilter) (kept, total int64)
-	// IndexScan returns a serial operator scanning a named secondary
-	// index over [lo, hi] bounds on its first key column (nil = open,
-	// loInc/hiInc select inclusive bounds), emitting heap rows in
-	// index-key order.
-	IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error)
+	// IndexScan returns a serial operator scanning the entries of a named
+	// secondary index that fall in r, emitting heap rows in index-key
+	// order.
+	IndexScan(t *catalog.Table, idxName string, r IndexRange) (exec.Operator, error)
+	// IndexRangeCount counts the index entries in r, stopping at limit —
+	// a bounded dive that reads about limit/64 leaf pages at most. Entries
+	// of rows invisible to every snapshot may be counted: the result
+	// sizes a plan, it is not a query answer.
+	IndexRangeCount(t *catalog.Table, idxName string, r IndexRange, limit int64) (int64, error)
 	// OrderedScanRange returns an operator scanning a clustered table in
 	// primary-key order restricted to [lo, hi) on the first key column;
 	// nil bounds are unbounded.
@@ -80,6 +84,30 @@ type Provider interface {
 	// deliver columnar batches (exec.BatchIterator), letting the planner
 	// run filters and projections above them as vectorized tight loops.
 	VectorizedScan(t *catalog.Table) bool
+}
+
+// IndexRange is a secondary-index key range: equality values on the
+// leading key columns (Prefix), then an optional range on the next key
+// column (nil Lo/Hi = open; LoInc/HiInc select inclusive ends). A range
+// never matches NULL in its own column; a bare prefix matches every entry
+// that starts with it, NULLs in later columns included.
+type IndexRange struct {
+	Prefix       sqltypes.Row
+	Lo, Hi       *sqltypes.Value
+	LoInc, HiInc bool
+}
+
+// String renders the range for EXPLAIN: prefix values, then the range
+// with open ends printed empty, e.g. (1, 100..400), (7) or (..200).
+func (r IndexRange) String() string {
+	parts := make([]string, 0, len(r.Prefix)+1)
+	for _, v := range r.Prefix {
+		parts = append(parts, v.String())
+	}
+	if r.Lo != nil || r.Hi != nil {
+		parts = append(parts, boundStr(r.Lo)+".."+boundStr(r.Hi))
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // ColMeta describes one output column of a plan node.

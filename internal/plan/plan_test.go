@@ -124,37 +124,71 @@ func (p *fakeProvider) HeapPageStats(t *catalog.Table, filters []storage.ZoneFil
 	return p.pageStats(t, filters)
 }
 
-// IndexScan serves rows whose first-index-column value falls in the
-// bounds, sorted by that column — the same contract as the engine's
-// B-tree-backed scan (NULLs never match a bound).
-func (p *fakeProvider) IndexScan(t *catalog.Table, name string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error) {
+// indexRows returns the in-memory rows an index range selects, in index
+// key order — the same contract as the engine's B-tree-backed scan: the
+// prefix matches the leading key columns by equality, and the range
+// bounds the next one, never matching NULL there.
+func (p *fakeProvider) indexRows(t *catalog.Table, name string, r IndexRange) ([]sqltypes.Row, error) {
 	ix := t.IndexByName(name)
 	if ix == nil {
 		return nil, fmt.Errorf("fake: no index %q on %s", name, t.Name)
 	}
-	col := ix.Columns[0]
-	var out []sqltypes.Row
-	for _, r := range p.rows[strings.ToLower(t.Name)] {
-		v := r[col]
+	inRange := func(row sqltypes.Row) bool {
+		for i, pv := range r.Prefix {
+			if v := row[ix.Columns[i]]; v.IsNull() || sqltypes.Compare(v, pv) != 0 {
+				return false
+			}
+		}
+		if r.Lo == nil && r.Hi == nil {
+			return true
+		}
+		v := row[ix.Columns[len(r.Prefix)]]
 		if v.IsNull() {
-			continue
+			return false
 		}
-		if lo != nil {
-			if c := sqltypes.Compare(v, *lo); c < 0 || (c == 0 && !loInc) {
-				continue
+		if r.Lo != nil {
+			if c := sqltypes.Compare(v, *r.Lo); c < 0 || (c == 0 && !r.LoInc) {
+				return false
 			}
 		}
-		if hi != nil {
-			if c := sqltypes.Compare(v, *hi); c > 0 || (c == 0 && !hiInc) {
-				continue
+		if r.Hi != nil {
+			if c := sqltypes.Compare(v, *r.Hi); c > 0 || (c == 0 && !r.HiInc) {
+				return false
 			}
 		}
-		out = append(out, r)
+		return true
+	}
+	var out []sqltypes.Row
+	for _, row := range p.rows[strings.ToLower(t.Name)] {
+		if inRange(row) {
+			out = append(out, row)
+		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		return sqltypes.Compare(out[i][col], out[j][col]) < 0
+		for _, c := range ix.Columns {
+			if d := sqltypes.Compare(out[i][c], out[j][c]); d != 0 {
+				return d < 0
+			}
+		}
+		return false
 	})
-	return exec.NewValues(out), nil
+	return out, nil
+}
+
+func (p *fakeProvider) IndexScan(t *catalog.Table, name string, r IndexRange) (exec.Operator, error) {
+	rows, err := p.indexRows(t, name, r)
+	if err != nil {
+		return nil, err
+	}
+	return exec.NewValues(rows), nil
+}
+
+// IndexRangeCount counts the in-memory rows in the range: the fake's
+// indexes hold exactly those rows, even where rowCounts makes the table
+// itself look larger.
+func (p *fakeProvider) IndexRangeCount(t *catalog.Table, name string, r IndexRange, limit int64) (int64, error) {
+	rows, err := p.indexRows(t, name, r)
+	return min(int64(len(rows)), limit), err
 }
 
 func (p *fakeProvider) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (exec.Operator, error) {
@@ -488,24 +522,22 @@ func uniformIntStats(tableID uint32, table, col string, rows, max int64) *stats.
 func TestPlanPostFilterPartitionCount(t *testing.T) {
 	p := newFakeProvider()
 	p.rowCounts["t"] = 100_000
-	p.tables["t"].Indexes = []catalog.Index{{Name: "idx_a", Columns: []int{0}}}
+	p.tstats["t"] = uniformIntStats(1, "t", "a", 100_000, 50_000)
 	pl := NewPlanner(p, 4) // default threshold 2048
 
-	// Without statistics the default equality selectivity (0.1) leaves
-	// 10k estimated index rows — costlier than the ~1.6k-page full scan,
-	// so the parallel heap scan stays.
+	// NDV statistics put the output at ~2 rows, but without an index the
+	// scan still reads every page, so it stays parallel.
 	node := planQuery(t, pl, "SELECT s FROM t WHERE a = 1")
 	if !strings.Contains(node.Explain(), "Parallelism (Gather Streams)") {
-		t.Fatalf("pre-stats point query should stay a parallel scan:\n%s", node.Explain())
+		t.Fatalf("unindexed point query should stay a parallel scan:\n%s", node.Explain())
 	}
 
-	// With NDV statistics the estimate collapses to ~2 rows: the index
-	// point lookup wins and runs serial.
-	p.tstats["t"] = uniformIntStats(1, "t", "a", 100_000, 50_000)
+	// With an index the point lookup wins and runs serial.
+	p.tables["t"].Indexes = []catalog.Index{{Name: "idx_a", Columns: []int{0}}}
 	node = planQuery(t, pl, "SELECT s FROM t WHERE a = 1")
 	text := node.Explain()
 	if !strings.Contains(text, "Index Scan") || strings.Contains(text, "Parallelism") {
-		t.Fatalf("post-stats point query should be a serial index scan:\n%s", text)
+		t.Fatalf("indexed point query should be a serial index scan:\n%s", text)
 	}
 	// The unfiltered scan stays parallel.
 	node = planQuery(t, pl, "SELECT s FROM t")
@@ -583,7 +615,10 @@ func TestPlanZoneMapPruning(t *testing.T) {
 // scan as the predicate tightens from a wide range to a point.
 func TestPlanExplainAccessPathFlip(t *testing.T) {
 	p := newFakeProvider()
-	p.rowCounts["t"] = 100_000
+	p.rows["t"] = nil
+	for i := 0; i < 100_000; i++ {
+		p.rows["t"] = append(p.rows["t"], sqltypes.Row{sqltypes.NewInt(int64(i / 2)), sqltypes.NewString("s")})
+	}
 	p.tables["t"].Indexes = []catalog.Index{{Name: "idx_a", Columns: []int{0}}}
 	p.tstats["t"] = uniformIntStats(1, "t", "a", 100_000, 50_000)
 	pl := NewPlanner(p, 4)
@@ -593,12 +628,62 @@ func TestPlanExplainAccessPathFlip(t *testing.T) {
 		t.Fatalf("wide range should full-scan:\n%s", wide)
 	}
 	point := planQuery(t, pl, "SELECT s FROM t WHERE a = 123").Explain()
-	if !strings.Contains(point, "Index Scan") || !strings.Contains(point, "idx_a (123..123)") {
+	if !strings.Contains(point, "Index Scan") || !strings.Contains(point, "idx_a (123) entries=2") {
 		t.Fatalf("point predicate should flip to the index with bounds shown:\n%s", point)
 	}
 	narrow := planQuery(t, pl, "SELECT s FROM t WHERE a > 100 AND a <= 140").Explain()
 	if !strings.Contains(narrow, "Index Scan") || !strings.Contains(narrow, "(100..140)") {
 		t.Fatalf("narrow range should flip to the index:\n%s", narrow)
+	}
+}
+
+// TestPlanIndexDiveWithoutStats: on a table never ANALYZEd, dives into
+// the indexes size the candidates, so a point lookup and a window over a
+// two-column index (equality prefix + range) both take the index, with
+// the window's dive count as its estimate, while a wide range stays on
+// the heap.
+func TestPlanIndexDiveWithoutStats(t *testing.T) {
+	p := newFakeProvider()
+	intT, _ := catalog.ParseType("BIGINT")
+	p.tables["aln"] = &catalog.Table{
+		ID: 5, Name: "aln",
+		Columns: []catalog.Column{{Name: "rid", Type: intT}, {Name: "g", Type: intT}, {Name: "pos", Type: intT}},
+		Indexes: []catalog.Index{{Name: "ix_read", Columns: []int{0}}, {Name: "ix_pos", Columns: []int{1, 2}}},
+	}
+	for i := 0; i < 20_000; i++ {
+		p.rows["aln"] = append(p.rows["aln"], sqltypes.Row{
+			sqltypes.NewInt(int64(i * 7919 % 20_000)), sqltypes.NewInt(int64(1 + i%4)), sqltypes.NewInt(int64(i * 31 % 10_000)),
+		})
+	}
+	pl := NewPlanner(p, 4)
+
+	point := planQuery(t, pl, "SELECT g, pos FROM aln WHERE rid = 4242")
+	if text := point.Explain(); !strings.Contains(text, "Index Scan [aln] ix_read (4242) entries=1") {
+		t.Fatalf("point lookup should dive to one entry:\n%s", text)
+	}
+	if rows := runPlan(t, point); len(rows) != 1 {
+		t.Fatalf("point rows = %v", rows)
+	}
+
+	window := planQuery(t, pl, "SELECT rid FROM aln WHERE g = 2 AND pos >= 100 AND pos < 400")
+	text := window.Explain()
+	var want int64
+	for _, r := range p.rows["aln"] {
+		if r[1].I == 2 && r[2].I >= 100 && r[2].I < 400 {
+			want++
+		}
+	}
+	if !strings.Contains(text, fmt.Sprintf("ix_pos (2, 100..400) entries=%d ", want)) ||
+		!strings.Contains(text, fmt.Sprintf("(est=%d rows)", want)) {
+		t.Fatalf("window should take the composite index with its %d-entry dive as the estimate:\n%s", want, text)
+	}
+	if rows := runPlan(t, window); int64(len(rows)) != want {
+		t.Fatalf("window rows = %d, want %d", len(rows), want)
+	}
+
+	wide := planQuery(t, pl, "SELECT rid FROM aln WHERE g = 2 AND pos >= 0").Explain()
+	if strings.Contains(wide, "Index Scan") || !strings.Contains(wide, "full scan") {
+		t.Fatalf("wide range should stay on the heap:\n%s", wide)
 	}
 }
 

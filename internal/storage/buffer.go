@@ -396,12 +396,16 @@ func (bp *BufferPool) NewPage(f *PagedFile, id PageID) (*frame, error) {
 
 // allocLocked finds a reusable frame in the shard: a fresh frame while
 // the shard is under budget, else an unpinned clean page evicted via the
-// clock algorithm. Returns nil when every frame is pinned or dirty. A
-// returned recycled frame is in the odd-generation state (unpinnable)
-// until installLocked. Called with sh.mu held.
+// clock algorithm. Returns nil when every frame is pinned or dirty. The
+// returned frame is in an odd-generation state (unpinnable) until
+// installLocked — fresh frames included: installLocked publishes the
+// mapping before its final state store, so a fresh frame left pinnable
+// would let a lock-free pin slip in and be overwritten by that store.
+// Called with sh.mu held.
 func (sh *poolShard) allocLocked(bp *BufferPool) *frame {
 	if len(sh.clock) < sh.budget {
 		fr := &frame{}
+		fr.state.Store(1 << 32)
 		sh.clock = append(sh.clock, fr)
 		return fr
 	}

@@ -184,6 +184,39 @@ func TestBufferPoolConcurrentSamePage(t *testing.T) {
 	}
 }
 
+// TestBufferPoolAllocatedFrameRefusesPin: a frame handed out by
+// allocLocked — fresh or recycled — must refuse lock-free pins until
+// installLocked completes. installLocked publishes the mapping before its
+// final state store, so a pinnable fresh frame lets a concurrent tryPin
+// take a pin that the store then overwrites (a later double unpin panics).
+func TestBufferPoolAllocatedFrameRefusesPin(t *testing.T) {
+	f := stampedFile(t, t.TempDir(), "t.dat", 1)
+	defer f.Close()
+	bp := NewBufferPoolSharded(1, 1)
+	sh := &bp.shards[0]
+	key := frameKey{f, 0}
+	for _, label := range []string{"fresh", "recycled"} {
+		sh.mu.Lock()
+		fr := sh.allocLocked(bp)
+		if fr == nil {
+			sh.mu.Unlock()
+			t.Fatalf("%s: no frame", label)
+		}
+		fr.key.Store(&key)
+		pinned := fr.tryPin(key)
+		sh.installLocked(fr, key, false, nil)
+		sh.mu.Unlock()
+		if pinned {
+			t.Fatalf("%s frame accepted a pin before installLocked", label)
+		}
+		if got := fr.state.Load() & pinMask; got != 1 {
+			t.Fatalf("%s frame installed with %d pins, want 1", label, got)
+		}
+		bp.Unpin(fr, false)
+		fr.used.Store(false) // let the next allocLocked evict it
+	}
+}
+
 // TestBufferPoolConcurrentStress runs parallel Get/Unpin over shared
 // read-only files, concurrent FlushFile, a private dirty-page
 // writer/dropper, and a stats poller — the workload mix of a checkpoint
