@@ -166,16 +166,6 @@ func (t *Table) StorageWidths() []uint8 {
 	return out
 }
 
-// HasSequenceColumns reports whether any column uses the SEQUENCE UDT.
-func (t *Table) HasSequenceColumns() bool {
-	for i := range t.Columns {
-		if t.Columns[i].Type.Name == TypeSequence {
-			return true
-		}
-	}
-	return false
-}
-
 // ToStorageRow validates a query row against the schema and converts it to
 // the persisted representation (packing SEQUENCE columns). The input row
 // is not modified.
@@ -206,16 +196,27 @@ func (t *Table) ToStorageRow(row sqltypes.Row) (sqltypes.Row, error) {
 // (unpacking SEQUENCE columns). The row is converted in place and returned.
 func (t *Table) FromStorageRow(row sqltypes.Row) (sqltypes.Row, error) {
 	for i := range row {
-		if t.Columns[i].Type.Name != TypeSequence || row[i].IsNull() {
-			continue
-		}
-		p, err := seq.Decode(row[i].B)
+		v, err := t.FromStorageValue(i, row[i])
 		if err != nil {
-			return nil, fmt.Errorf("catalog: column %s.%s: %w", t.Name, t.Columns[i].Name, err)
+			return nil, err
 		}
-		row[i] = sqltypes.NewString(p.Unpack())
+		row[i] = v
 	}
 	return row, nil
+}
+
+// FromStorageValue converts one persisted cell of column col back to its
+// query representation: SEQUENCE cells unpack to their string form,
+// every other cell is returned as is.
+func (t *Table) FromStorageValue(col int, v sqltypes.Value) (sqltypes.Value, error) {
+	if t.Columns[col].Type.Name != TypeSequence || v.IsNull() {
+		return v, nil
+	}
+	p, err := seq.Decode(v.B)
+	if err != nil {
+		return sqltypes.Null, fmt.Errorf("catalog: column %s.%s: %w", t.Name, t.Columns[col].Name, err)
+	}
+	return sqltypes.NewString(p.Unpack()), nil
 }
 
 // coerce converts v to the declared type, enforcing length bounds.

@@ -315,7 +315,10 @@ func TestSpillEIOJoinFailsOnlyQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Arm()
-	_, qerr := db.Exec(`SELECT COUNT(*) FROM t JOIN u ON t.a = u.a`)
+	// Joining on the payload too keeps it in the join's rows (projection
+	// pushdown drops unread columns), so the spilled partitions fill
+	// pages and reach the disk.
+	_, qerr := db.Exec(`SELECT COUNT(*) FROM t JOIN u ON t.a = u.a AND t.s = u.s`)
 	if qerr == nil {
 		t.Fatal("spilling join succeeded with EIO injected on every spill write")
 	}
@@ -333,7 +336,7 @@ func TestSpillEIOJoinFailsOnlyQuery(t *testing.T) {
 	}
 	// The join still answers correctly once the fault clears.
 	inj.Disarm()
-	res, err := db.Exec(`SELECT COUNT(*) FROM t JOIN u ON t.a = u.a`)
+	res, err := db.Exec(`SELECT COUNT(*) FROM t JOIN u ON t.a = u.a AND t.s = u.s`)
 	if err != nil {
 		t.Fatalf("join after fault cleared: %v", err)
 	}

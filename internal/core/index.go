@@ -671,10 +671,15 @@ func (db *Database) IndexRangeCount(t *catalog.Table, idxName string, r plan.Ind
 }
 
 // IndexScan returns a serial operator scanning the entries of the named
-// secondary index that fall in r, emitting heap rows in index-key order
+// secondary index that fall in r, emitting the projected columns (proj:
+// ascending table columns, nil = all) of heap rows in index-key order
 // under the statement's snapshot.
-func (db *Database) IndexScan(t *catalog.Table, idxName string, r plan.IndexRange) (exec.Operator, error) {
+func (db *Database) IndexScan(t *catalog.Table, idxName string, r plan.IndexRange, proj []int) (exec.Operator, error) {
 	td, ix, err := db.indexFor(t, idxName)
+	if err != nil {
+		return nil, err
+	}
+	proj, err = scanProjection(td.def, proj)
 	if err != nil {
 		return nil, err
 	}
@@ -690,14 +695,14 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, r plan.IndexRang
 			if ctx != nil {
 				snap, _ = ctx.Snapshot.(*Snapshot)
 			}
-			return db.wrapIterator(def, &indexScanIterator{
+			return projectRows(def, &indexScanIterator{
 				tree:   ix.tree,
 				td:     td,
 				next:   append([]byte(nil), startKey...), // fill reuses it
 				end:    endKey,
 				ranges: td.versions.visibleRanges(snap),
 				cache:  storage.NewHeapFetchCache().SetPoolTally(poolTallyFrom(ctx)),
-			}), nil
+			}, proj), nil
 		},
 	}, nil
 }

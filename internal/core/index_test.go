@@ -45,7 +45,7 @@ func TestCreateIndexBuildAndScan(t *testing.T) {
 	}
 	lo, hi := sqltypes.NewInt(100), sqltypes.NewInt(200)
 	db.mu.RLock()
-	op, err := db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true})
+	op, err := db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true}, nil)
 	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestCreateIndexBuildAndScan(t *testing.T) {
 	defer db.Close()
 	def = db.Catalog().Get("g")
 	db.mu.RLock()
-	op, err = db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true})
+	op, err = db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true}, nil)
 	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestCreateIndexBuildAndScan(t *testing.T) {
 		t.Fatal("catalog kept the dropped index")
 	}
 	db.mu.RLock()
-	_, err = db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true})
+	_, err = db.IndexScan(def, "idx_pos", plan.IndexRange{Lo: &lo, Hi: &hi, LoInc: true}, nil)
 	db.mu.RUnlock()
 	if err == nil {
 		t.Fatal("IndexScan over a dropped index succeeded")
@@ -125,7 +125,7 @@ func TestIndexRollbackUndo(t *testing.T) {
 	}
 	def := db.Catalog().Get("r")
 	db.mu.RLock()
-	op, err := db.IndexScan(def, "idx_v", plan.IndexRange{Prefix: sqltypes.Row{sqltypes.NewInt(42)}})
+	op, err := db.IndexScan(def, "idx_v", plan.IndexRange{Prefix: sqltypes.Row{sqltypes.NewInt(42)}}, nil)
 	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestIndexScanReleasesLatchBetweenChunks(t *testing.T) {
 
 	lo := sqltypes.NewInt(0)
 	db.mu.RLock()
-	op, err := db.IndexScan(db.Catalog().Get("w"), "idx_v", plan.IndexRange{Lo: &lo, LoInc: true})
+	op, err := db.IndexScan(db.Catalog().Get("w"), "idx_v", plan.IndexRange{Lo: &lo, LoInc: true}, nil)
 	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)

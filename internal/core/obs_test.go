@@ -132,6 +132,57 @@ func TestExplainAnalyzeSpillingJoin(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeBypassedExchanges: an exchange whose consumer takes
+// the partition chains beneath it directly (the partitioned join over
+// its inputs' scans, the window's per-partition sorts) never builds its
+// own operator. Its line must report the rows its leaf produced, with no
+// time of its own — never actual=0 over a subtree that produced rows.
+func TestExplainAnalyzeBypassedExchanges(t *testing.T) {
+	db := openJoinDB(t, Options{})
+	for _, q := range []string{
+		spillingJoinSQL,
+		`SELECT k, ROW_NUMBER() OVER (ORDER BY k) FROM reads`,
+	} {
+		text := mustExec(t, db, "EXPLAIN ANALYZE "+q).Plan
+		type line struct {
+			depth  int
+			actual int64
+			text   string
+		}
+		var lines []line
+		for _, ln := range strings.Split(text, "\n") {
+			at := strings.Index(ln, "|--")
+			i := strings.Index(ln, "actual=")
+			if at < 0 || i < 0 {
+				continue
+			}
+			var n int64
+			fmt.Sscanf(ln[i:], "actual=%d", &n)
+			lines = append(lines, line{depth: at, actual: n, text: ln})
+		}
+		bypassed := 0
+		for i, l := range lines {
+			if strings.HasPrefix(strings.TrimSpace(l.text), "|--Parallelism") && !strings.Contains(l.text, "time=") {
+				bypassed++
+			}
+			if l.actual != 0 {
+				continue
+			}
+			for _, below := range lines[i+1:] {
+				if below.depth <= l.depth {
+					break
+				}
+				if below.actual > 0 {
+					t.Fatalf("%q reports actual=0 over a subtree that produced rows:\n%s", l.text, text)
+				}
+			}
+		}
+		if bypassed == 0 {
+			t.Fatalf("expected a bypassed exchange (no time) in:\n%s", text)
+		}
+	}
+}
+
 // TestExplainAnalyzeNonSelect: only SELECT can be analyzed.
 func TestExplainAnalyzeNonSelect(t *testing.T) {
 	db := openTestDB(t)

@@ -164,31 +164,78 @@ func (f spillFile) IterRun(span exec.RunSpan) (exec.RowIterator, error) {
 // shared buffer pool) to the planner's partitioned joins.
 func (db *Database) SpillStore() exec.SpillStore { return spillStore{db.spill} }
 
-// convertIterator unpacks SEQUENCE columns when the table uses the UDT.
-type convertIterator struct {
-	inner exec.RowIterator
-	def   *catalog.Table
+// scanProjection resolves a scan's projection: the table columns it
+// emits, strictly ascending. nil selects every column.
+func scanProjection(def *catalog.Table, proj []int) ([]int, error) {
+	if proj == nil {
+		all := make([]int, len(def.Columns))
+		for i := range all {
+			all[i] = i
+		}
+		return all, nil
+	}
+	for i, c := range proj {
+		if c < 0 || c >= len(def.Columns) || (i > 0 && c <= proj[i-1]) {
+			return nil, fmt.Errorf("core: bad projection %v of table %s", proj, def.Name)
+		}
+	}
+	return proj, nil
 }
 
-func (c *convertIterator) Next() (sqltypes.Row, bool, error) {
-	row, ok, err := c.inner.Next()
+// seqPositions lists the projection positions holding SEQUENCE columns,
+// whose cells are stored packed and read as strings.
+func seqPositions(def *catalog.Table, proj []int) []int {
+	var out []int
+	for o, c := range proj {
+		if def.Columns[c].Type.Name == catalog.TypeSequence {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// projectIterator narrows the full rows that clustered, index and
+// row-path heap scans decode to the scan's projection, and unpacks
+// SEQUENCE cells to their query form. Both happen in place: every inner
+// iterator hands out rows it does not keep, and an ascending projection
+// only ever moves a cell to a lower position.
+type projectIterator struct {
+	inner exec.RowIterator
+	def   *catalog.Table
+	proj  []int
+	seq   []int
+}
+
+func (p *projectIterator) Next() (sqltypes.Row, bool, error) {
+	row, ok, err := p.inner.Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out, err := c.def.FromStorageRow(row)
-	if err != nil {
-		return nil, false, err
+	for o, c := range p.proj {
+		row[o] = row[c]
 	}
-	return out, true, nil
+	row = row[:len(p.proj)]
+	for _, o := range p.seq {
+		v, err := p.def.FromStorageValue(p.proj[o], row[o])
+		if err != nil {
+			return nil, false, err
+		}
+		row[o] = v
+	}
+	return row, true, nil
 }
 
-func (c *convertIterator) Close() error { return c.inner.Close() }
+func (p *projectIterator) Close() error { return p.inner.Close() }
 
-func (db *Database) wrapIterator(def *catalog.Table, it exec.RowIterator) exec.RowIterator {
-	if def.HasSequenceColumns() {
-		return &convertIterator{inner: it, def: def}
+// projectRows wraps a full-row storage iterator with the scan's
+// projection; a full projection of a table without SEQUENCE columns
+// passes the rows through.
+func projectRows(def *catalog.Table, it exec.RowIterator, proj []int) exec.RowIterator {
+	seq := seqPositions(def, proj)
+	if len(proj) == len(def.Columns) && len(seq) == 0 {
+		return it
 	}
-	return it
+	return &projectIterator{inner: it, def: def, proj: proj, seq: seq}
 }
 
 // VectorizedScan reports whether the table's scan partitions deliver
@@ -229,22 +276,17 @@ func (v *visibleHeapIterator) Next() (sqltypes.Row, bool, error) {
 
 func (v *visibleHeapIterator) Close() error { return v.it.Close() }
 
-// visibleBatchIterator is the batch-capable heap scan source: the row
-// interface delegates to the version-filtered row iterator, while
-// NextBatch serves columnar page batches with MVCC visibility applied as
-// a selection-vector intersection — invisible rows are deselected, never
-// decoded. Only one of the two interfaces is pulled per execution (the
-// parent operator is either a row or a batch consumer), so nothing is
-// read twice.
+// visibleBatchIterator is the vectorized heap scan source: it serves
+// columnar page batches with MVCC visibility applied as a
+// selection-vector intersection — invisible rows are deselected, never
+// decoded. Row consumers read the same batches through exec.Source's
+// batch-to-row cursor.
 type visibleBatchIterator struct {
-	rows    exec.RowIterator
 	bi      *storage.HeapBatchIterator
 	ranges  []rowRange
 	ri      int
-	seqCols []int
+	seqCols []int // batch positions of SEQUENCE columns
 }
-
-func (v *visibleBatchIterator) Next() (sqltypes.Row, bool, error) { return v.rows.Next() }
 
 // NextBatch intersects the next page batch's selection with the visible
 // ranges. Batch row s is global row Base+s; ranges are sorted and
@@ -272,7 +314,7 @@ func (v *visibleBatchIterator) NextBatch() (*vec.Batch, error) {
 		b.Sel = sel
 		// SEQUENCE columns stay in packed storage form; the Packed mark
 		// makes value materialization unpack them to the query
-		// representation (what FromStorageRow does on the row path).
+		// representation.
 		for _, c := range v.seqCols {
 			b.Cols[c].Packed = true
 		}
@@ -285,13 +327,7 @@ func (v *visibleBatchIterator) NextBatch() (*vec.Batch, error) {
 	}
 }
 
-func (v *visibleBatchIterator) Close() error {
-	berr := v.bi.Close()
-	if err := v.rows.Close(); err != nil {
-		return err
-	}
-	return berr
-}
+func (v *visibleBatchIterator) Close() error { return v.bi.Close() }
 
 // HeapPageStats prices a zone-map-pruned scan: how many sealed pages
 // survive the filters, and the total. (0, 0) means "no information" (not
@@ -304,24 +340,31 @@ func (db *Database) HeapPageStats(t *catalog.Table, filters []storage.ZoneFilter
 	return td.heap.ZonePrunedPages(filters)
 }
 
-// ScanPartitions returns `parts` operators that together scan the table
-// once: heap tables partition by sealed-page ranges (the tail rides with
-// the last partition); clustered tables partition by key range. Each
-// partition filters rows against the snapshot in the exec context its
-// factory runs under — scans read a consistent version of the table
-// while writers keep appending.
+// ScanPartitions returns `parts` operators that together scan every
+// column of the table once: heap tables partition by sealed-page ranges
+// (the tail rides with the last partition); clustered tables partition
+// by key range. Each partition filters rows against the snapshot in the
+// exec context its factory runs under — scans read a consistent version
+// of the table while writers keep appending.
 func (db *Database) ScanPartitions(t *catalog.Table, parts int) ([]exec.Operator, error) {
-	return db.ScanPartitionsPruned(t, parts, nil)
+	return db.ScanPartitionsPruned(t, parts, nil, nil)
 }
 
-// ScanPartitionsPruned is ScanPartitions with zone-map filters: sealed
-// heap pages whose min/max ranges provably cannot satisfy every filter
-// are skipped without a buffer-pool read. Filters are ignored for
-// clustered tables.
-func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter) ([]exec.Operator, error) {
+// ScanPartitionsPruned is ScanPartitions with zone-map filters and a
+// projection: sealed heap pages whose min/max ranges provably cannot
+// satisfy every filter are skipped without a buffer-pool read (filters
+// are ignored for clustered tables), and rows carry only the table
+// columns listed in proj (ascending; nil = all). Vectorized heap scans
+// decode only the projected columns; the other paths narrow rows after
+// decoding them.
+func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter, proj []int) ([]exec.Operator, error) {
 	td := db.tables[t.ID]
 	if td == nil {
 		return nil, fmt.Errorf("core: no storage for table %s", t.Name)
+	}
+	proj, err := scanProjection(td.def, proj)
+	if err != nil {
+		return nil, err
 	}
 	if parts < 1 {
 		parts = 1
@@ -334,45 +377,37 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 		if sealed == 0 {
 			parts = 1
 		}
-		var seqCols []int
-		for i := range td.def.Columns {
-			if td.def.Columns[i].Type.Name == catalog.TypeSequence {
-				seqCols = append(seqCols, i)
-			}
-		}
-		vectorized := !db.noVec
+		seqCols := seqPositions(td.def, proj)
 		ops := make([]exec.Operator, 0, parts)
 		for i := 0; i < parts; i++ {
 			lo := sealed * int64(i) / int64(parts)
 			hi := sealed * int64(i+1) / int64(parts)
 			includeTail := i == parts-1
-			tdc := td
-			def := td.def
-			ops = append(ops, &exec.Source{
-				Label: fmt.Sprintf("%s pages [%d,%d)", t.Name, lo, hi),
-				Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
+			// The tail partition re-captures the sealed-page count at open
+			// ("extend"): pages sealed since planning stay covered, and
+			// the visibility filter hides whatever the snapshot should
+			// not see.
+			src := &exec.Source{Label: fmt.Sprintf("%s pages [%d,%d)", t.Name, lo, hi)}
+			if db.noVec {
+				src.Factory = func(ctx *exec.Context) (exec.RowIterator, error) {
 					snap, _ := ctx.Snapshot.(*Snapshot)
-					tally := poolTallyFrom(ctx)
-					// The tail partition re-captures the sealed-page count
-					// at open ("extend"): pages sealed since planning stay
-					// covered, and the visibility filter hides whatever
-					// the snapshot should not see.
-					ranges := tdc.versions.visibleRanges(snap)
-					it := tdc.heap.NewVersionIterator(lo, hi, includeTail).
-						SetZoneFilters(filters, &db.scanStats).SetPoolTally(tally)
-					rows := db.wrapIterator(def, &visibleHeapIterator{it: it, ranges: ranges})
-					if !vectorized {
-						return rows, nil
-					}
+					it := td.heap.NewVersionIterator(lo, hi, includeTail).
+						SetZoneFilters(filters, &db.scanStats).SetPoolTally(poolTallyFrom(ctx))
+					vis := &visibleHeapIterator{it: it, ranges: td.versions.visibleRanges(snap)}
+					return projectRows(td.def, vis, proj), nil
+				}
+			} else {
+				src.BatchFactory = func(ctx *exec.Context) (exec.BatchIterator, error) {
+					snap, _ := ctx.Snapshot.(*Snapshot)
 					return &visibleBatchIterator{
-						rows: rows,
-						bi: tdc.heap.NewBatchIterator(lo, hi, includeTail, &db.scanStats).
-							SetZoneFilters(filters).SetPoolTally(tally),
-						ranges:  ranges,
+						bi: td.heap.NewBatchIterator(lo, hi, includeTail, proj, &db.scanStats).
+							SetZoneFilters(filters).SetPoolTally(poolTallyFrom(ctx)),
+						ranges:  td.versions.visibleRanges(snap),
 						seqCols: seqCols,
 					}, nil
-				},
-			})
+				}
+			}
+			ops = append(ops, src)
 		}
 		return ops, nil
 	}
@@ -384,7 +419,7 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 	}
 	ops := make([]exec.Operator, 0, len(ranges))
 	for _, rg := range ranges {
-		op, err := db.OrderedScanRange(t, rg[0], rg[1])
+		op, err := db.OrderedScanRange(t, rg[0], rg[1], proj)
 		if err != nil {
 			return nil, err
 		}
@@ -431,14 +466,18 @@ func (ti *treeIterator) Close() error {
 }
 
 // OrderedScanRange scans a clustered table in key order over [lo, hi) of
-// the first key column.
-func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (exec.Operator, error) {
+// the first key column, emitting the table columns listed in proj
+// (ascending; nil = all).
+func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value, proj []int) (exec.Operator, error) {
 	td := db.tables[t.ID]
 	if td == nil || td.tree == nil {
 		return nil, fmt.Errorf("core: %s is not a clustered table", t.Name)
 	}
+	proj, err := scanProjection(td.def, proj)
+	if err != nil {
+		return nil, err
+	}
 	var startKey, endKey []byte
-	var err error
 	if lo != nil {
 		startKey, err = btree.AppendKey(nil, sqltypes.Row{*lo})
 		if err != nil {
@@ -465,7 +504,7 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 				td.writeMu.RUnlock()
 				return nil, err
 			}
-			return db.wrapIterator(def, &treeIterator{it: it, td: td, snap: snap, locked: true}), nil
+			return projectRows(def, &treeIterator{it: it, td: td, snap: snap, locked: true}, proj), nil
 		},
 	}, nil
 }

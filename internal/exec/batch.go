@@ -27,15 +27,19 @@ type BatchIterator interface {
 	Close() error
 }
 
-// NextBatch makes Source a BatchOperator: native when the factory's
-// iterator implements BatchIterator, otherwise rows are packed into
-// generic batches (the row-to-batch shim).
+// NextBatch makes Source a BatchOperator: native over a batch
+// iterator, otherwise rows are packed into generic batches (the
+// row-to-batch shim).
 func (s *Source) NextBatch() (*vec.Batch, error) {
-	if bi, ok := s.it.(BatchIterator); ok {
-		return bi.NextBatch()
+	if s.bi != nil {
+		return s.bi.NextBatch()
 	}
 	return packRows(s.it.Next, s.batchSize)
 }
+
+// PruneColumns limits row materialization from a batch iterator to the
+// marked columns.
+func (s *Source) PruneColumns(needed []bool) { s.cur.needed = needed }
 
 // packRows builds one generic batch of up to size rows from a row
 // stream.

@@ -57,39 +57,60 @@ type RowIterator interface {
 	Close() error
 }
 
-// Source adapts a RowIterator factory into an Operator. The factory runs
-// at Open time, so sources are re-openable.
+// Source adapts an iterator factory into an Operator. Exactly one of
+// Factory (a row stream) and BatchFactory (a columnar stream, e.g. a
+// vectorized table scan) is set. The factory runs at Open time, so
+// sources are re-openable.
 type Source struct {
-	Label   string
-	Factory func(ctx *Context) (RowIterator, error)
+	Label        string
+	Factory      func(ctx *Context) (RowIterator, error)
+	BatchFactory func(ctx *Context) (BatchIterator, error)
 
 	it        RowIterator
+	bi        BatchIterator
+	cur       batchToRow
 	batchSize int
 }
 
 // Open creates the underlying iterator.
 func (s *Source) Open(ctx *Context) error {
+	s.batchSize = ctx.BatchSize
+	s.cur.reset()
+	if s.BatchFactory != nil {
+		bi, err := s.BatchFactory(ctx)
+		if err != nil {
+			return err
+		}
+		s.bi = bi
+		return nil
+	}
 	it, err := s.Factory(ctx)
 	if err != nil {
 		return err
 	}
 	s.it = it
-	s.batchSize = ctx.BatchSize
 	return nil
 }
 
-// Next pulls from the iterator.
+// Next pulls from the row iterator, or serves the selected rows of a
+// batch iterator's batches.
 func (s *Source) Next() (sqltypes.Row, bool, error) {
+	if s.bi != nil {
+		return s.cur.next(s.bi.NextBatch)
+	}
 	return s.it.Next()
 }
 
 // Close releases the iterator.
 func (s *Source) Close() error {
-	if s.it == nil {
-		return nil
+	var err error
+	switch {
+	case s.bi != nil:
+		err = s.bi.Close()
+	case s.it != nil:
+		err = s.it.Close()
 	}
-	err := s.it.Close()
-	s.it = nil
+	s.it, s.bi = nil, nil
 	return err
 }
 

@@ -562,15 +562,21 @@ func (m *likeMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 }
 
 // genericMask is the row-at-a-time fallback: it materializes only the
-// selected rows and reuses one scratch row across calls.
+// selected rows, and of those only the columns the predicate reads,
+// reusing one scratch row across calls.
 type genericMask struct {
-	e   Expr
-	row sqltypes.Row
+	e      Expr
+	row    sqltypes.Row
+	needed []bool
 }
 
 func (m *genericMask) mask(b *vec.Batch, sel []int, out []uint8) error {
+	if len(m.needed) != len(b.Cols) {
+		m.needed = make([]bool, len(b.Cols))
+		MarkCols(m.e, m.needed)
+	}
 	for i, s := range sel {
-		row, err := b.ReadRow(s, m.row)
+		row, err := b.ReadRowCols(s, m.row, m.needed)
 		if err != nil {
 			return err
 		}
@@ -676,14 +682,19 @@ func (l *litEval) eval(b *vec.Batch) (*vec.Vector, error) {
 }
 
 type genericEval struct {
-	e   Expr
-	row sqltypes.Row
+	e      Expr
+	row    sqltypes.Row
+	needed []bool
 }
 
 func (g *genericEval) eval(b *vec.Batch) (*vec.Vector, error) {
+	if len(g.needed) != len(b.Cols) {
+		g.needed = make([]bool, len(b.Cols))
+		MarkCols(g.e, g.needed)
+	}
 	out := &vec.Vector{Kind: sqltypes.KindNull, Vals: make([]sqltypes.Value, b.Rows())}
 	for _, s := range b.Sel {
-		row, err := b.ReadRow(s, g.row)
+		row, err := b.ReadRowCols(s, g.row, g.needed)
 		if err != nil {
 			return nil, err
 		}

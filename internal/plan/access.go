@@ -97,8 +97,10 @@ func sargValue(v sqltypes.Value, k sqltypes.Kind) (sqltypes.Value, bool) {
 
 // sargableRanges extracts per-column bounds from pushed conjuncts of the
 // shape `col op const` (either operand order; ops =, <, <=, >, >=).
-// Conjuncts on the same column intersect. Keys are column positions.
-func sargableRanges(sc *scope, tab *catalog.Table, pushed []sqlparse.Expr) map[int]*sargRange {
+// Conjuncts on the same column intersect. Columns resolve in the scan's
+// scope; proj maps them to the table column positions that key the
+// result.
+func sargableRanges(sc *scope, proj []int, tab *catalog.Table, pushed []sqlparse.Expr) map[int]*sargRange {
 	var out map[int]*sargRange
 	for _, c := range pushed {
 		b, ok := c.(*sqlparse.Binary)
@@ -121,10 +123,11 @@ func sargableRanges(sc *scope, tab *catalog.Table, pushed []sqlparse.Expr) map[i
 		default:
 			continue
 		}
-		idx, err := sc.resolve(id.Qualifier, id.Name)
+		pos, err := sc.resolve(id.Qualifier, id.Name)
 		if err != nil {
 			continue
 		}
+		idx := proj[pos]
 		sv, ok := sargValue(v, tab.Columns[idx].Type.StorageKind())
 		if !ok {
 			continue
@@ -316,7 +319,7 @@ func orderedOnIdent(rel *relation, id *sqlparse.Ident) bool {
 // the full pushed predicate — the key range covers only the conjuncts on
 // a prefix of the index columns, and re-checking keeps the operator
 // correct even where bound arithmetic and filter semantics could drift.
-func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta,
+func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, proj []int, cols []ColMeta,
 	choice *indexChoice, pred expr.Expr, est int64, ts *stats.TableStats) *relation {
 
 	idxName, rng := choice.idx.Name, choice.rng
@@ -324,7 +327,7 @@ func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta
 	if choice.capped {
 		cmp = ">="
 	}
-	detail := fmt.Sprintf("[%s] %s %s entries%s%d", tab.Name, idxName, rng, cmp, choice.entries)
+	detail := fmt.Sprintf("[%s] %s %s entries%s%d%s", tab.Name, idxName, rng, cmp, choice.entries, colsDetail(tab, proj))
 	if pred != nil {
 		detail += fmt.Sprintf(" WHERE:(%s)", pred)
 	}
@@ -334,7 +337,7 @@ func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta
 		Cols:   cols,
 		Est:    est,
 		Build: func() (exec.Operator, error) {
-			op, err := pl.Provider.IndexScan(tab, idxName, rng)
+			op, err := pl.Provider.IndexScan(tab, idxName, rng, proj)
 			if err != nil {
 				return nil, err
 			}
@@ -344,9 +347,6 @@ func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta
 			return op, nil
 		},
 	}
-	ordered := make([]ColMeta, 0, len(choice.idx.Columns))
-	for _, c := range choice.idx.Columns {
-		ordered = append(ordered, ColMeta{Qual: qual, Name: tab.Columns[c].Name})
-	}
+	ordered := orderedPrefix(tab, qual, choice.idx.Columns, proj)
 	return &relation{node: node, cols: cols, ordered: ordered, est: est, stats: ts}
 }

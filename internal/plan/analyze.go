@@ -33,6 +33,7 @@ func (n *Node) Instrument(timed bool) {
 		if n.Build != nil {
 			build := n.Build
 			n.Build = func() (exec.Operator, error) {
+				n.built = true
 				op, err := build()
 				if err != nil {
 					return nil, err
@@ -71,7 +72,10 @@ func (n *Node) SpillBytes() int64 {
 // Display-only nodes without their own profile (synthetic exchange and
 // partial-aggregate nodes) inherit the nearest profiled ancestor's
 // counters so an actual/estimate ratio appears on every line; their
-// detail lines are suppressed (the owner already prints them).
+// detail lines are suppressed (the owner already prints them). Bypassed
+// nodes — exchanges whose consumer took the partition chains beneath
+// them directly — inherit their leaf's counters instead and print no
+// time.
 func (n *Node) ExplainAnalyze(total time.Duration, rows int64) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "EXPLAIN ANALYZE (total %s, %d rows returned)\n", fmtDuration(total), rows)
@@ -82,7 +86,10 @@ func (n *Node) ExplainAnalyze(total time.Duration, rows int64) string {
 func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpProfile) {
 	p := n.Prof
 	owns := p != nil
-	if p == nil {
+	switch {
+	case n.bypassed():
+		p, owns = n.leafProf(), false
+	case p == nil:
 		p = inherited
 	}
 	sb.WriteString(strings.Repeat("   ", depth))
@@ -138,7 +145,7 @@ func childWall(n *Node, own *obs.OpProfile) time.Duration {
 	var total int64
 	var walk func(c *Node)
 	walk = func(c *Node) {
-		if c.Prof != nil && !seen[c.Prof] {
+		if c.Prof != nil && !c.bypassed() && !seen[c.Prof] {
 			seen[c.Prof] = true
 			total += c.Prof.WallNS.Load()
 			return // its own children subtract from it, not from us
@@ -151,6 +158,27 @@ func childWall(n *Node, own *obs.OpProfile) time.Duration {
 		walk(c)
 	}
 	return time.Duration(total)
+}
+
+// bypassed reports whether the node was instrumented but never built:
+// its consumer built the operators beneath it directly (a partitioned
+// join over a scan's partition chains), so its own profile saw nothing.
+// Nodes whose planner closures feed their profile are marked OwnProf and
+// never count as bypassed.
+func (n *Node) bypassed() bool {
+	return n.Prof != nil && n.Build != nil && !n.built && !n.OwnProf
+}
+
+// leafProf is the profile that counts a bypassed node's rows: the first
+// live profile down its first-child chain (nil if there is none).
+func (n *Node) leafProf() *obs.OpProfile {
+	for c := n; len(c.Children) > 0; {
+		c = c.Children[0]
+		if c.Prof != nil && !c.bypassed() {
+			return c.Prof
+		}
+	}
+	return nil
 }
 
 // estRatio formats how far the actual cardinality landed from the

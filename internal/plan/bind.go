@@ -320,35 +320,42 @@ func hasWindow(e sqlparse.Expr) bool {
 	return false
 }
 
-// columnRefs collects the distinct (qualifier, name) pairs referenced.
-func columnRefs(e sqlparse.Expr, out map[string]bool) {
+// walkIdents calls fn for every column reference in e.
+func walkIdents(e sqlparse.Expr, fn func(*sqlparse.Ident)) {
 	switch t := e.(type) {
 	case *sqlparse.Ident:
-		out[strings.ToLower(displayName(t.Qualifier, t.Name))] = true
+		fn(t)
 	case *sqlparse.Unary:
-		columnRefs(t.X, out)
+		walkIdents(t.X, fn)
 	case *sqlparse.Binary:
-		columnRefs(t.L, out)
-		columnRefs(t.R, out)
+		walkIdents(t.L, fn)
+		walkIdents(t.R, fn)
 	case *sqlparse.IsNullExpr:
-		columnRefs(t.X, out)
+		walkIdents(t.X, fn)
 	case *sqlparse.LikeExpr:
-		columnRefs(t.X, out)
+		walkIdents(t.X, fn)
 	case *sqlparse.InExpr:
-		columnRefs(t.X, out)
+		walkIdents(t.X, fn)
 		for _, item := range t.List {
-			columnRefs(item, out)
+			walkIdents(item, fn)
 		}
 	case *sqlparse.FuncCall:
 		for _, a := range t.Args {
-			columnRefs(a, out)
+			walkIdents(a, fn)
 		}
 		if t.Over != nil {
 			for _, o := range t.Over.OrderBy {
-				columnRefs(o.Expr, out)
+				walkIdents(o.Expr, fn)
 			}
 		}
 	}
+}
+
+// columnRefs collects the distinct (qualifier, name) pairs referenced.
+func columnRefs(e sqlparse.Expr, out map[string]bool) {
+	walkIdents(e, func(id *sqlparse.Ident) {
+		out[strings.ToLower(displayName(id.Qualifier, id.Name))] = true
+	})
 }
 
 // refsResolvableIn reports whether every column reference in e resolves in

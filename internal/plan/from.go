@@ -15,11 +15,12 @@ import (
 
 // planFrom plans a FROM item. conjuncts are WHERE terms available for
 // pushdown; terms consumed by a scan are removed from the returned
-// remainder.
-func (pl *Planner) planFrom(ref sqlparse.TableRef, conjuncts []sqlparse.Expr) (*relation, []sqlparse.Expr, error) {
+// remainder. need names the columns the statement reads (see
+// columns.go); base tables expose only those.
+func (pl *Planner) planFrom(ref sqlparse.TableRef, conjuncts []sqlparse.Expr, need colNames) (*relation, []sqlparse.Expr, error) {
 	switch t := ref.(type) {
 	case *sqlparse.NamedTable:
-		return pl.planNamedTable(t, conjuncts)
+		return pl.planNamedTable(t, conjuncts, need)
 	case *sqlparse.FuncRef:
 		rel, err := pl.planTVF(t, nil)
 		return rel, conjuncts, err
@@ -34,9 +35,9 @@ func (pl *Planner) planFrom(ref sqlparse.TableRef, conjuncts []sqlparse.Expr) (*
 		}
 		return &relation{node: node, cols: cols}, conjuncts, nil
 	case *sqlparse.JoinRef:
-		return pl.planJoin(t, conjuncts)
+		return pl.planJoin(t, conjuncts, need)
 	case *sqlparse.ApplyRef:
-		left, remaining, err := pl.planFrom(t.Left, conjuncts)
+		left, remaining, err := pl.planFrom(t.Left, conjuncts, need)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -46,20 +47,15 @@ func (pl *Planner) planFrom(ref sqlparse.TableRef, conjuncts []sqlparse.Expr) (*
 	return nil, nil, fmt.Errorf("plan: unsupported FROM item %T", ref)
 }
 
-// planNamedTable builds a (possibly parallel) scan with pushed predicates.
-func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.Expr) (*relation, []sqlparse.Expr, error) {
+// planNamedTable builds a (possibly parallel) scan of the table's
+// referenced columns with pushed predicates.
+func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.Expr, need colNames) (*relation, []sqlparse.Expr, error) {
 	tab := pl.Provider.Table(t.Name)
 	if tab == nil {
 		return nil, nil, fmt.Errorf("plan: unknown table %q", t.Name)
 	}
-	qual := t.Alias
-	if qual == "" {
-		qual = t.Name
-	}
-	cols := make([]ColMeta, len(tab.Columns))
-	for i, c := range tab.Columns {
-		cols[i] = ColMeta{Qual: qual, Name: c.Name}
-	}
+	qual := tableQual(t)
+	proj, cols := scanColumns(tab, qual, need)
 	sc := &scope{cols: cols}
 
 	// Consume pushable conjuncts.
@@ -100,7 +96,7 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	var zoneFilters []storage.ZoneFilter
 	var ranges map[int]*sargRange
 	if !tab.Clustered {
-		ranges = sargableRanges(sc, tab, pushed)
+		ranges = sargableRanges(sc, proj, tab, pushed)
 		zoneFilters = zoneFiltersFrom(ranges)
 	}
 	keptPages, totalPages := int64(0), int64(0)
@@ -140,7 +136,7 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 		pl.PathPicks.pickFull()
 	}
 	if useIndex {
-		return pl.indexScanNode(tab, qual, cols, idxCand, pred, est, ts), remaining, nil
+		return pl.indexScanNode(tab, qual, proj, cols, idxCand, pred, est, ts), remaining, nil
 	}
 
 	// Heap/clustered scan. The partition count follows the pages the scan
@@ -162,11 +158,9 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	var ordered []ColMeta
 	if tab.Clustered {
 		scanOp = "Clustered Index Scan"
-		for _, pk := range tab.PrimaryKey {
-			ordered = append(ordered, ColMeta{Qual: qual, Name: tab.Columns[pk].Name})
-		}
+		ordered = orderedPrefix(tab, qual, tab.PrimaryKey, proj)
 	}
-	detail := fmt.Sprintf("[%s]", tab.Name)
+	detail := fmt.Sprintf("[%s]%s", tab.Name, colsDetail(tab, proj))
 	if pred != nil {
 		detail += fmt.Sprintf(" WHERE:(%s)", pred)
 	}
@@ -181,10 +175,11 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	// The leaf is declared before the parts closure so parts can read its
 	// profile at build time: consumers that take the partition chains
 	// directly (exchanges, partitioned joins) bypass the leaf's Build, so
-	// this is where the chains bind to the node that displays them.
-	scanLeaf := &Node{Op: scanOp, Detail: detail, Cols: cols, Est: est, Vec: vectorized}
+	// this is where the chains bind to the node that displays them
+	// (OwnProf: the profile is live even when Build never runs).
+	scanLeaf := &Node{Op: scanOp, Detail: detail, Cols: cols, Est: est, Vec: vectorized, OwnProf: true}
 	parts := func() ([]exec.Operator, error) {
-		ops, err := pl.Provider.ScanPartitionsPruned(tab, partsN, zoneFilters)
+		ops, err := pl.Provider.ScanPartitionsPruned(tab, partsN, zoneFilters, proj)
 		if err != nil {
 			return nil, err
 		}
@@ -377,12 +372,12 @@ func (pl *Planner) planApply(left *relation, fn *sqlparse.FuncRef) (*relation, e
 // planJoin plans an inner join, preferring a (possibly parallel,
 // range-partitioned) merge join when both sides are clustered on the join
 // key — the paper's Figure 10 plan — and falling back to hash join.
-func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr) (*relation, []sqlparse.Expr, error) {
-	left, remaining, err := pl.planFrom(j.Left, conjuncts)
+func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr, need colNames) (*relation, []sqlparse.Expr, error) {
+	left, remaining, err := pl.planFrom(j.Left, conjuncts, need)
 	if err != nil {
 		return nil, nil, err
 	}
-	right, remaining, err := pl.planFrom(j.Right, remaining)
+	right, remaining, err := pl.planFrom(j.Right, remaining, need)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -432,7 +427,7 @@ func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr) (*re
 	// so it must re-push from the ORIGINAL conjunct list — not from
 	// `remaining`, which no longer holds the terms the generic scans
 	// consumed.
-	if mj := pl.tryMergeJoin(j, left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, conjuncts); mj != nil {
+	if mj := pl.tryMergeJoin(j, left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, conjuncts, need); mj != nil {
 		rel = &mj.relation
 		// tryMergeJoin consumed the pushable conjuncts itself.
 		remaining = mj.leftoverConjuncts
@@ -701,9 +696,11 @@ func identExprs(ids []*sqlparse.Ident) []sqlparse.Expr {
 
 // tryMergeJoin returns a merge-join relation when both join inputs are
 // base tables clustered on their single join key column; otherwise nil.
+// Its ordered range scans carry the same projections as the generic
+// plans of both sides, whose scopes the keys and predicates bind in.
 func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 	leftKeyIdents, rightKeyIdents []*sqlparse.Ident,
-	leftKeys, rightKeys []expr.Expr, conjuncts []sqlparse.Expr) *relationWithLeftovers {
+	leftKeys, rightKeys []expr.Expr, conjuncts []sqlparse.Expr, need colNames) *relationWithLeftovers {
 
 	if len(leftKeyIdents) != 1 {
 		return nil
@@ -728,6 +725,8 @@ func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 	// selectivity for the post-filter input cardinalities.
 	lqual := tableQual(lt)
 	rqual := tableQual(rt)
+	lproj, _ := scanColumns(ltab, lqual, need)
+	rproj, _ := scanColumns(rtab, rqual, need)
 	lts, rts := pl.Provider.Stats(ltab), pl.Provider.Stats(rtab)
 	leftScope := &scope{cols: left.cols}
 	rightScope := &scope{cols: right.cols}
@@ -782,8 +781,8 @@ func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 
 	combined := append(append([]ColMeta{}, left.cols...), right.cols...)
 	mjDetail := fmt.Sprintf("MERGE:[%s.%s]=[%s.%s]", lqual, leftKeyIdents[0].Name, rqual, rightKeyIdents[0].Name)
-	scanDetail := func(tab *catalog.Table, pred expr.Expr) string {
-		d := fmt.Sprintf("[%s] (ordered)", tab.Name)
+	scanDetail := func(tab *catalog.Table, proj []int, pred expr.Expr) string {
+		d := fmt.Sprintf("[%s] (ordered)%s", tab.Name, colsDetail(tab, proj))
 		if pred != nil {
 			d += fmt.Sprintf(" WHERE:(%s)", pred)
 		}
@@ -793,8 +792,8 @@ func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 	// bind the per-range scan and join chains to them at build time
 	// (OwnProf makes Instrument allocate profiles although only the root
 	// node carries a Build factory).
-	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, leftPred), Est: lest, OwnProf: true}
-	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rightPred), Est: rest, OwnProf: true}
+	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, lproj, leftPred), Est: lest, OwnProf: true}
+	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rproj, rightPred), Est: rest, OwnProf: true}
 	mjNode := &Node{
 		Op:       "Merge Join (Inner Join)",
 		Detail:   mjDetail,
@@ -816,11 +815,11 @@ func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 		}
 		ops := make([]exec.Operator, 0, len(ranges))
 		for _, rg := range ranges {
-			lscan, err := pl.Provider.OrderedScanRange(ltab, rg[0], rg[1])
+			lscan, err := pl.Provider.OrderedScanRange(ltab, rg[0], rg[1], lproj)
 			if err != nil {
 				return nil, err
 			}
-			rscan, err := pl.Provider.OrderedScanRange(rtab, rg[0], rg[1])
+			rscan, err := pl.Provider.OrderedScanRange(rtab, rg[0], rg[1], rproj)
 			if err != nil {
 				return nil, err
 			}

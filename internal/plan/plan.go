@@ -38,34 +38,33 @@ type Provider interface {
 	Agg(name string) (exec.AggFactory, bool)
 	// TVF resolves a table-valued function.
 	TVF(name string) (TVF, bool)
-	// ScanPartitions returns `parts` independent operators that together
-	// scan the whole table exactly once (heap page ranges, or a single
-	// full scan when parts == 1).
-	ScanPartitions(t *catalog.Table, parts int) ([]exec.Operator, error)
-	// ScanPartitionsPruned is ScanPartitions with zone-map filters: sealed
+	// ScanPartitionsPruned returns `parts` independent operators that
+	// together scan the whole table exactly once (heap page ranges, or a
+	// single full scan when parts == 1), emitting only the table columns
+	// listed in proj (ascending positions). Zone-map filters let sealed
 	// heap pages whose min/max summaries provably cannot satisfy every
-	// filter are skipped without a read. Filters are advisory (engines
-	// without zone maps may ignore them) and strictly conservative, so a
-	// pruned scan returns exactly the rows the full scan would.
-	ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter) ([]exec.Operator, error)
+	// filter be skipped without a read; they are advisory (engines without
+	// zone maps may ignore them) and strictly conservative, so a pruned
+	// scan returns exactly the rows the full scan would.
+	ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter, proj []int) ([]exec.Operator, error)
 	// HeapPageStats prices a zone-map-pruned heap scan: how many sealed
 	// pages survive the filters, and the total page count. (0, 0) means
 	// "no information" and the planner falls back to cardinality-based
 	// page costing.
 	HeapPageStats(t *catalog.Table, filters []storage.ZoneFilter) (kept, total int64)
 	// IndexScan returns a serial operator scanning the entries of a named
-	// secondary index that fall in r, emitting heap rows in index-key
-	// order.
-	IndexScan(t *catalog.Table, idxName string, r IndexRange) (exec.Operator, error)
+	// secondary index that fall in r, emitting the projected columns of
+	// heap rows in index-key order.
+	IndexScan(t *catalog.Table, idxName string, r IndexRange, proj []int) (exec.Operator, error)
 	// IndexRangeCount counts the index entries in r, stopping at limit —
 	// a bounded dive that reads about limit/64 leaf pages at most. Entries
 	// of rows invisible to every snapshot may be counted: the result
 	// sizes a plan, it is not a query answer.
 	IndexRangeCount(t *catalog.Table, idxName string, r IndexRange, limit int64) (int64, error)
-	// OrderedScanRange returns an operator scanning a clustered table in
-	// primary-key order restricted to [lo, hi) on the first key column;
-	// nil bounds are unbounded.
-	OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (exec.Operator, error)
+	// OrderedScanRange returns an operator scanning the projected columns
+	// of a clustered table in primary-key order restricted to [lo, hi) on
+	// the first key column; nil bounds are unbounded.
+	OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value, proj []int) (exec.Operator, error)
 	// KeyRanges splits a clustered table's first (integer) key column
 	// into up to `parts` contiguous ranges for partitioned merge joins.
 	KeyRanges(t *catalog.Table, parts int) ([][2]*sqltypes.Value, error)
@@ -137,10 +136,14 @@ type Node struct {
 	// read it at build time to attribute those operators to the node
 	// that displays them; it stays nil on uninstrumented plans.
 	Prof *obs.OpProfile
-	// OwnProf marks a display-only node (Build == nil) whose profile is
-	// still populated — a planner closure wraps the operators it stands
-	// for. Instrument allocates profiles for these too.
+	// OwnProf marks a node whose profile a planner closure populates —
+	// it wraps the operators the node stands for — whether or not its
+	// Build runs (display-only nodes have none). Instrument allocates
+	// profiles for these too.
 	OwnProf bool
+	// built records that the instrumented Build ran; an instrumented
+	// node whose Build never ran was bypassed (see bypassed).
+	built bool
 }
 
 // Explain renders the plan in the indented style of the paper's plan

@@ -99,8 +99,28 @@ func (p *fakeProvider) Agg(name string) (exec.AggFactory, bool) {
 	return nil, false
 }
 func (p *fakeProvider) TVF(string) (TVF, bool) { return nil, false }
-func (p *fakeProvider) ScanPartitions(t *catalog.Table, parts int) ([]exec.Operator, error) {
-	rows := p.rows[strings.ToLower(t.Name)]
+
+// projectRows narrows rows to the projected table columns (nil = all),
+// the scan-side half of the planner's projection pushdown.
+func projectRows(rows []sqltypes.Row, proj []int) []sqltypes.Row {
+	if proj == nil {
+		return rows
+	}
+	out := make([]sqltypes.Row, len(rows))
+	for i, r := range rows {
+		out[i] = make(sqltypes.Row, len(proj))
+		for o, c := range proj {
+			out[i][o] = r[c]
+		}
+	}
+	return out
+}
+
+func (p *fakeProvider) ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter, proj []int) ([]exec.Operator, error) {
+	if len(filters) > 0 {
+		p.prunedCalls++
+	}
+	rows := projectRows(p.rows[strings.ToLower(t.Name)], proj)
 	if parts < 1 {
 		parts = 1
 	}
@@ -110,12 +130,6 @@ func (p *fakeProvider) ScanPartitions(t *catalog.Table, parts int) ([]exec.Opera
 		ops = append(ops, exec.NewValues(rows[lo:hi]))
 	}
 	return ops, nil
-}
-func (p *fakeProvider) ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter) ([]exec.Operator, error) {
-	if len(filters) > 0 {
-		p.prunedCalls++
-	}
-	return p.ScanPartitions(t, parts)
 }
 func (p *fakeProvider) HeapPageStats(t *catalog.Table, filters []storage.ZoneFilter) (int64, int64) {
 	if p.pageStats == nil {
@@ -175,12 +189,12 @@ func (p *fakeProvider) indexRows(t *catalog.Table, name string, r IndexRange) ([
 	return out, nil
 }
 
-func (p *fakeProvider) IndexScan(t *catalog.Table, name string, r IndexRange) (exec.Operator, error) {
+func (p *fakeProvider) IndexScan(t *catalog.Table, name string, r IndexRange, proj []int) (exec.Operator, error) {
 	rows, err := p.indexRows(t, name, r)
 	if err != nil {
 		return nil, err
 	}
-	return exec.NewValues(rows), nil
+	return exec.NewValues(projectRows(rows, proj)), nil
 }
 
 // IndexRangeCount counts the in-memory rows in the range: the fake's
@@ -191,7 +205,7 @@ func (p *fakeProvider) IndexRangeCount(t *catalog.Table, name string, r IndexRan
 	return min(int64(len(rows)), limit), err
 }
 
-func (p *fakeProvider) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (exec.Operator, error) {
+func (p *fakeProvider) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value, proj []int) (exec.Operator, error) {
 	var out []sqltypes.Row
 	for _, r := range p.rows[strings.ToLower(t.Name)] {
 		if lo != nil && sqltypes.Compare(r[0], *lo) < 0 {
@@ -202,7 +216,7 @@ func (p *fakeProvider) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value
 		}
 		out = append(out, r)
 	}
-	return exec.NewValues(out), nil
+	return exec.NewValues(projectRows(out, proj)), nil
 }
 func (p *fakeProvider) KeyRanges(t *catalog.Table, parts int) ([][2]*sqltypes.Value, error) {
 	mid := sqltypes.NewInt(5)
@@ -935,5 +949,70 @@ func TestPlanNotOfPartiallyUnknownAnd(t *testing.T) {
 	text := node.Explain()
 	if !strings.Contains(text, "(est=100000 rows)") || strings.Contains(text, "est=1 rows") {
 		t.Errorf("NOT over partially-unknown AND collapsed the estimate:\n%s", text)
+	}
+}
+
+// TestPlanGeneExpressionProjection: the paper's gene-expression join
+// reads one of the Read table's eight columns, so its Read scan carries
+// only that column; every join above it is narrow. The narrowed plan
+// still counts the reads per gene.
+func TestPlanGeneExpressionProjection(t *testing.T) {
+	intT, _ := catalog.ParseType("INT")
+	strT, _ := catalog.ParseType("VARCHAR(300)")
+	p := newFakeProvider()
+	var readCols []catalog.Column
+	for _, name := range []string{"r_id", "fc_id", "lane", "tile", "x", "y", "short_read_seq", "quals"} {
+		typ := intT
+		if name == "short_read_seq" || name == "quals" {
+			typ = strT
+		}
+		readCols = append(readCols, catalog.Column{Name: name, Type: typ})
+	}
+	p.tables["read"] = &catalog.Table{ID: 10, Name: "Read", Columns: readCols}
+	p.tables["tag"] = &catalog.Table{ID: 11, Name: "Tag", Columns: []catalog.Column{{Name: "t_id", Type: intT}, {Name: "t_seq", Type: strT}}}
+	p.tables["tagalignment"] = &catalog.Table{ID: 12, Name: "TagAlignment", Columns: []catalog.Column{
+		{Name: "ta_t_id", Type: intT}, {Name: "ta_chrom", Type: strT}, {Name: "ta_gene", Type: strT}}}
+	tags := []string{"ACGTACGTACGTACGTACGTA", "TTTTGGGGCCCCAAAATTTTG", "GATTACAGATTACAGATTACA"}
+	for i := 0; i < 40; i++ {
+		row := sqltypes.Row{}
+		for c := 0; c < 6; c++ {
+			row = append(row, sqltypes.NewInt(int64(i*10+c)))
+		}
+		p.rows["read"] = append(p.rows["read"], append(row, sqltypes.NewString(tags[i%3]), sqltypes.NewString("IIIIIIIIIIIIIIIIIIIII")))
+	}
+	for k, s := range tags {
+		p.rows["tag"] = append(p.rows["tag"], sqltypes.Row{sqltypes.NewInt(int64(k)), sqltypes.NewString(s)})
+	}
+	// Tag 0 aligns to geneA, tag 1 to geneB, tag 2 to an intergenic spot.
+	for k, g := range []string{"geneA", "geneB", ""} {
+		p.rows["tagalignment"] = append(p.rows["tagalignment"], sqltypes.Row{
+			sqltypes.NewInt(int64(k)), sqltypes.NewString("chr1"), sqltypes.NewString(g)})
+	}
+	pl := NewPlanner(p, 2)
+	pl.ParallelThreshold = 5
+	node := planQuery(t, pl, `
+SELECT ta_gene, COUNT(*) AS reads
+  FROM [Read]
+  JOIN Tag ON short_read_seq = t_seq
+  JOIN TagAlignment ON ta_t_id = t_id
+ WHERE ta_gene <> ''
+ GROUP BY ta_gene`)
+	text := node.Explain()
+	for _, want := range []string{
+		"Table Scan [Read] COLS:(short_read_seq)",
+		"Table Scan [TagAlignment] COLS:(ta_t_id, ta_gene) WHERE:",
+		"Table Scan [Tag] (est=",
+		"Hash Match (Partitioned Inner Join)",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("plan lacks %q:\n%s", want, text)
+		}
+	}
+	got := map[string]int64{}
+	for _, r := range runPlan(t, node) {
+		got[r[0].S] = r[1].I
+	}
+	if len(got) != 2 || got["geneA"] != 14 || got["geneB"] != 13 {
+		t.Fatalf("gene counts = %v, want geneA=14 geneB=13", got)
 	}
 }

@@ -45,7 +45,7 @@ func (pl *Planner) PlanSelect(sel *sqlparse.Select) (*Node, error) {
 			conjuncts = splitConjuncts(sel.Where)
 		}
 		var err error
-		rel, remaining, err = pl.planFrom(sel.From, conjuncts)
+		rel, remaining, err = pl.planFrom(sel.From, conjuncts, referencedColumns(sel))
 		if err != nil {
 			return nil, err
 		}
@@ -521,6 +521,9 @@ func filterRelation(rel *relation, pred expr.Expr) *relation {
 	node := newFilterNode(pred, rel.node)
 	out := &relation{node: node, cols: rel.cols, ordered: rel.ordered, est: rel.est, stats: rel.stats}
 	if rel.parts != nil {
+		// Consumers of the partition chains bypass the node's Build;
+		// the chains below feed its profile either way.
+		node.OwnProf = true
 		inner := rel.parts
 		vec := rel.node.Vec
 		out.partsN = rel.partsN

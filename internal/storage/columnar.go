@@ -214,6 +214,20 @@ func newColumnarReader(buf []byte, nCols int) (*columnarReader, error) {
 // nulls; codes/dict are nil for flat columns, in which case flat holds
 // one image per non-null row in row order.
 func (cr *columnarReader) column() (enc byte, nulls []byte, dict [][]byte, codes []int32, flat [][]byte, err error) {
+	return cr.walkColumn(true)
+}
+
+// skipColumn walks past the next column, validating its structure but
+// building none of its arrays — what a projected scan does for a column
+// it does not emit.
+func (cr *columnarReader) skipColumn() error {
+	_, _, _, _, _, err := cr.walkColumn(false)
+	return err
+}
+
+// walkColumn is the single traversal behind column and skipColumn; with
+// keep unset it returns nothing but the encoding and an error.
+func (cr *columnarReader) walkColumn(keep bool) (enc byte, nulls []byte, dict [][]byte, codes []int32, flat [][]byte, err error) {
 	rd := &cr.rd
 	encB := rd.bytes(1)
 	hasN := rd.bytes(1)
@@ -223,20 +237,28 @@ func (cr *columnarReader) column() (enc byte, nulls []byte, dict [][]byte, codes
 	enc = encB[0]
 	if hasN[0] != 0 {
 		nulls = rd.bytes((cr.nRows + 7) / 8)
+		if rd.failed {
+			return 0, nil, nil, nil, nil, rd.err()
+		}
 	}
 	isNull := func(r int) bool {
 		return nulls != nil && nulls[r/8]&(1<<uint(r%8)) != 0
 	}
 	switch enc {
 	case colEncFlat:
-		flat = make([][]byte, cr.nRows)
+		if keep {
+			flat = make([][]byte, cr.nRows)
+		}
 		for r := 0; r < cr.nRows; r++ {
 			if isNull(r) {
 				continue
 			}
-			flat[r] = cr.readImage()
+			img := cr.readImage()
 			if rd.failed {
 				return 0, nil, nil, nil, nil, rd.err()
+			}
+			if keep {
+				flat[r] = img
 			}
 		}
 	case colEncDict, colEncRLE:
@@ -244,14 +266,22 @@ func (cr *columnarReader) column() (enc byte, nulls []byte, dict [][]byte, codes
 		if rd.failed || nDict < 0 || nDict > cr.nRows {
 			return 0, nil, nil, nil, nil, fmt.Errorf("storage: bad columnar dictionary size")
 		}
-		dict = make([][]byte, nDict)
-		for i := range dict {
-			dict[i] = rd.bytes(int(rd.uvarint()))
+		if keep {
+			dict = make([][]byte, nDict)
+			codes = make([]int32, cr.nRows)
 		}
-		codes = make([]int32, cr.nRows)
+		for i := 0; i < nDict; i++ {
+			e := rd.bytes(int(rd.uvarint()))
+			if keep {
+				dict[i] = e
+			}
+		}
 		if enc == colEncDict {
-			for r := range codes {
-				codes[r] = int32(rd.uvarint())
+			for r := 0; r < cr.nRows; r++ {
+				code := int32(rd.uvarint())
+				if keep {
+					codes[r] = code
+				}
 			}
 		} else {
 			nRuns := int(rd.uvarint())
@@ -259,11 +289,13 @@ func (cr *columnarReader) column() (enc byte, nulls []byte, dict [][]byte, codes
 			for i := 0; i < nRuns; i++ {
 				code := int32(rd.uvarint())
 				n := int(rd.uvarint())
-				if rd.failed || at+n > cr.nRows {
+				if rd.failed || n < 0 || at+n > cr.nRows {
 					return 0, nil, nil, nil, nil, fmt.Errorf("storage: columnar runs exceed row count")
 				}
-				for j := 0; j < n; j++ {
-					codes[at+j] = code
+				if keep {
+					for j := 0; j < n; j++ {
+						codes[at+j] = code
+					}
 				}
 				at += n
 			}

@@ -36,7 +36,7 @@ func (h *Heap) FetchRow(idx int64) (sqltypes.Row, error) {
 // FetchRowCached is FetchRow with an optional page cache. The returned row
 // is a shallow copy and safe to hold until the next call with the same
 // cache; callers that unpack SEQUENCE columns in place must clone values
-// they mutate — FromStorageRow replaces elements, which is safe here.
+// they mutate — replacing elements, as scan projections do, is safe here.
 func (h *Heap) FetchRowCached(idx int64, c *HeapFetchCache) (sqltypes.Row, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("storage: fetch negative row %d", idx)

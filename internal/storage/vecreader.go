@@ -58,26 +58,73 @@ func (s VecScanSnapshot) Sub(o VecScanSnapshot) VecScanSnapshot {
 
 var discardVecStats VecScanStats
 
-// decodePageBatch materializes one sealed page into column vectors,
-// preserving on-page dictionary/RLE coding as dictionary vectors.
-func (h *Heap) decodePageBatch(page []byte, stats *VecScanStats) ([]*vec.Vector, int, error) {
+// dictCache reuses decoded dictionary entries across the pages of one
+// scan. Low-NDV columns (DGE tags, lane and flowcell ids) repeat the same
+// entries on every page, so each distinct image decodes once per scan
+// rather than once per page, and every page's dictionary shares the
+// decoded values. Entries are keyed by cell image per batch column; the
+// cached images are bounded by dictCacheBytes, past which entries still
+// decode but are no longer remembered. A nil cache decodes every entry.
+type dictCache struct {
+	cols  []map[string]sqltypes.Value
+	bytes int
+}
+
+// dictCacheBytes bounds the images one scan's cache holds: ample for the
+// low-NDV columns it serves, negligible beside the buffer pool.
+const dictCacheBytes = 256 << 10
+
+func newDictCache(nCols int) *dictCache {
+	return &dictCache{cols: make([]map[string]sqltypes.Value, nCols)}
+}
+
+// value returns the decoded entry for batch column o, reporting whether
+// it had to be decoded.
+func (c *dictCache) value(o int, kind sqltypes.Kind, img []byte) (sqltypes.Value, bool, error) {
+	if c != nil {
+		if v, ok := c.cols[o][string(img)]; ok {
+			return v, false, nil
+		}
+	}
+	v, err := cellFromImage(kind, img)
+	if err != nil {
+		return v, false, err
+	}
+	if c != nil && c.bytes+len(img) <= dictCacheBytes {
+		if c.cols[o] == nil {
+			c.cols[o] = map[string]sqltypes.Value{}
+		}
+		c.cols[o][string(img)] = v
+		c.bytes += len(img)
+	}
+	return v, true, nil
+}
+
+// decodePageBatch materializes the projected columns of one sealed page
+// as vectors (batch column i holds table column proj[i]), preserving
+// on-page dictionary/RLE coding as dictionary vectors. Columns outside
+// the projection are walked past without being materialized. cache may
+// be nil.
+func (h *Heap) decodePageBatch(page []byte, proj []int, cache *dictCache, stats *VecScanStats) ([]*vec.Vector, int, error) {
 	n := int(binaryLittleUint16(page[2:]))
 	used := int(binaryLittleUint16(page[4:]))
 	payload := page[heapHeaderSize : heapHeaderSize+used]
 	switch page[0] {
 	case pageTypeRows:
+		// The row codec decodes whole rows; only the transposition is
+		// narrowed.
 		rows := make([]sqltypes.Row, 0, n)
 		rows, err := h.decodePage(page, rows)
 		if err != nil {
 			return nil, 0, err
 		}
-		cols := rowsToVectors(h.kinds, rows)
+		cols := rowsToVectors(h.kinds, rows, proj)
 		stats.ValuesDecoded.Add(int64(len(rows) * len(h.kinds)))
 		return cols, len(rows), nil
 	case pageTypeCompressed:
-		return decodeCompressedBatch(h.kinds, payload, stats)
+		return decodeCompressedBatch(h.kinds, payload, proj, cache, stats)
 	case pageTypeColumnar:
-		return decodeColumnarBatch(h.kinds, payload, stats)
+		return decodeColumnarBatch(h.kinds, payload, proj, cache, stats)
 	}
 	return nil, 0, fmt.Errorf("storage: unknown heap page type %d", page[0])
 }
@@ -86,29 +133,53 @@ func binaryLittleUint16(b []byte) uint16 {
 	return uint16(b[0]) | uint16(b[1])<<8
 }
 
-// rowsToVectors transposes decoded rows into typed flat vectors.
-func rowsToVectors(kinds []sqltypes.Kind, rows []sqltypes.Row) []*vec.Vector {
-	cols := make([]*vec.Vector, len(kinds))
-	for c, k := range kinds {
-		v := vec.NewVector(k, len(rows))
+// rowsToVectors transposes the projected columns of decoded rows into
+// typed flat vectors.
+func rowsToVectors(kinds []sqltypes.Kind, rows []sqltypes.Row, proj []int) []*vec.Vector {
+	cols := make([]*vec.Vector, len(proj))
+	for o, c := range proj {
+		v := vec.NewVector(kinds[c], len(rows))
 		for _, row := range rows {
 			v.Append(row[c])
 		}
-		cols[c] = v
+		cols[o] = v
 	}
 	return cols
 }
 
-// decodeCompressedBatch converts a page-compressed (type 2) payload into
-// dictionary vectors without materializing dropped rows: page-dictionary
-// entries decode at most once per column, inline cells are appended to
-// the column dictionary as singleton entries.
-func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats) ([]*vec.Vector, int, error) {
+// projSlots inverts a projection: slot[c] is the batch position of table
+// column c, or -1 when the scan does not project it. Projections must
+// name valid, distinct columns.
+func projSlots(nCols int, proj []int) ([]int, error) {
+	slot := make([]int, nCols)
+	for c := range slot {
+		slot[c] = -1
+	}
+	for o, c := range proj {
+		if c < 0 || c >= nCols || slot[c] >= 0 {
+			return nil, fmt.Errorf("storage: bad projection column %d of %d", c, nCols)
+		}
+		slot[c] = o
+	}
+	return slot, nil
+}
+
+// decodeCompressedBatch converts the projected columns of a
+// page-compressed (type 2) payload into dictionary vectors without
+// materializing dropped rows: page-dictionary entries decode at most once
+// per column, inline cells are appended to the column dictionary as
+// singleton entries. The format is row-major, so every cell is walked,
+// but cells of unprojected columns are never decoded.
+func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, proj []int, cache *dictCache, stats *VecScanStats) ([]*vec.Vector, int, error) {
 	rd := pageReader{buf: buf}
 	nCols := int(rd.uvarint())
 	nRows := int(rd.uvarint())
 	if rd.failed || nCols != len(kinds) {
 		return nil, 0, fmt.Errorf("storage: page has %d columns, schema has %d", nCols, len(kinds))
+	}
+	slot, err := projSlots(nCols, proj)
+	if err != nil {
+		return nil, 0, err
 	}
 	prefixes := make([][]byte, nCols)
 	for c := 0; c < nCols; c++ {
@@ -122,19 +193,20 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 	for i := range pageDict {
 		pageDict[i] = rd.bytes(int(rd.uvarint()))
 	}
-	cols := make([]*vec.Vector, nCols)
-	// dictMap[c][i] is the column-dictionary code of page-dict entry i in
-	// column c, or -1 while undecoded.
-	dictMap := make([][]int32, nCols)
-	for c := range cols {
-		cols[c] = &vec.Vector{Kind: kinds[c], Codes: make([]int32, nRows)}
-		dictMap[c] = make([]int32, nDict)
-		for i := range dictMap[c] {
-			dictMap[c][i] = -1
+	cols := make([]*vec.Vector, len(proj))
+	// dictMap[o][i] is the column-dictionary code of page-dict entry i in
+	// batch column o, or -1 while undecoded.
+	dictMap := make([][]int32, len(proj))
+	for o, c := range proj {
+		cols[o] = &vec.Vector{Kind: kinds[c], Codes: make([]int32, nRows)}
+		dictMap[o] = make([]int32, nDict)
+		for i := range dictMap[o] {
+			dictMap[o][i] = -1
 		}
 	}
 	nb := (nCols + 7) / 8
 	var scratch []byte
+	var dictDecoded, valuesDecoded int64
 	for r := 0; r < nRows; r++ {
 		nullBM := rd.bytes(nb)
 		dictBM := rd.bytes(nb)
@@ -142,9 +214,11 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 			return nil, 0, rd.err()
 		}
 		for c := 0; c < nCols; c++ {
-			col := cols[c]
+			o := slot[c]
 			if nullBM[c/8]&(1<<uint(c%8)) != 0 {
-				col.SetNull(r)
+				if o >= 0 {
+					cols[o].SetNull(r)
+				}
 				continue
 			}
 			var sfx []byte
@@ -155,8 +229,11 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 				if rd.failed || dictRef >= nDict {
 					return nil, 0, fmt.Errorf("storage: dictionary index out of range")
 				}
-				if code := dictMap[c][dictRef]; code >= 0 {
-					col.Codes[r] = code
+				if o < 0 {
+					continue
+				}
+				if code := dictMap[o][dictRef]; code >= 0 {
+					cols[o].Codes[r] = code
 					continue
 				}
 				sfx = pageDict[dictRef]
@@ -174,6 +251,9 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 				if rd.failed {
 					return nil, 0, rd.err()
 				}
+				if o < 0 {
+					continue
+				}
 			}
 			img := sfx
 			if len(prefixes[c]) > 0 {
@@ -181,39 +261,61 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 				scratch = append(scratch, sfx...)
 				img = scratch
 			}
-			v, err := cellFromImage(kinds[c], img)
+			var v sqltypes.Value
+			if fromDict {
+				var decoded bool
+				v, decoded, err = cache.value(o, kinds[c], img)
+				if decoded {
+					dictDecoded++
+				}
+			} else {
+				v, err = cellFromImage(kinds[c], img)
+				valuesDecoded++
+			}
 			if err != nil {
 				return nil, 0, err
 			}
+			col := cols[o]
 			code := int32(len(col.Dict))
 			col.Dict = append(col.Dict, v)
 			col.Codes[r] = code
 			if fromDict {
-				dictMap[c][dictRef] = code
-				stats.DictEntriesDecoded.Add(1)
-			} else {
-				stats.ValuesDecoded.Add(1)
+				dictMap[o][dictRef] = code
 			}
 		}
 	}
+	stats.DictEntriesDecoded.Add(dictDecoded)
+	stats.ValuesDecoded.Add(valuesDecoded)
 	return cols, nRows, nil
 }
 
-// decodeColumnarBatch converts a columnar (type 3) payload into vectors:
-// dict/RLE columns keep their codes, flat columns stay LAZY — the vector
-// holds raw cell images and decodes one only when the executor actually
-// reads it, so columns the query never touches (and rows the selection
-// vector drops) cost nothing past the structural walk. The payload is
-// copied once up front because lazy images outlive the page pin.
-func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats) ([]*vec.Vector, int, error) {
+// decodeColumnarBatch converts the projected columns of a columnar
+// (type 3) payload into vectors: dict/RLE columns keep their codes, flat
+// columns stay LAZY — the vector holds raw cell images and decodes one
+// only when the executor actually reads it, so rows the selection vector
+// drops cost nothing past the structural walk. Unprojected columns are
+// skipped: no dictionary decode, no null bitmap, no vector. The payload
+// is copied once up front because lazy images outlive the page pin.
+func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, proj []int, cache *dictCache, stats *VecScanStats) ([]*vec.Vector, int, error) {
 	buf = append([]byte(nil), buf...)
 	cr, err := newColumnarReader(buf, len(kinds))
 	if err != nil {
 		return nil, 0, err
 	}
-	cols := make([]*vec.Vector, cr.nCols)
+	slot, err := projSlots(cr.nCols, proj)
+	if err != nil {
+		return nil, 0, err
+	}
+	cols := make([]*vec.Vector, len(proj))
 	for c := 0; c < cr.nCols; c++ {
 		cr.kind = kinds[c]
+		o := slot[c]
+		if o < 0 {
+			if err := cr.skipColumn(); err != nil {
+				return nil, 0, err
+			}
+			continue
+		}
 		_, nulls, dict, codes, flat, err := cr.column()
 		if err != nil {
 			return nil, 0, err
@@ -221,14 +323,18 @@ func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats)
 		var col *vec.Vector
 		if codes != nil {
 			vals := make([]sqltypes.Value, len(dict))
+			var decoded int64
 			for i, img := range dict {
-				v, err := cellFromImage(kinds[c], img)
+				v, miss, err := cache.value(o, kinds[c], img)
 				if err != nil {
 					return nil, 0, err
 				}
+				if miss {
+					decoded++
+				}
 				vals[i] = v
 			}
-			stats.DictEntriesDecoded.Add(int64(len(dict)))
+			stats.DictEntriesDecoded.Add(decoded)
 			col = &vec.Vector{Kind: kinds[c], Codes: codes, Dict: vals}
 		} else {
 			kind := kinds[c]
@@ -246,18 +352,21 @@ func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats)
 				}
 			}
 		}
-		cols[c] = col
+		cols[o] = col
 	}
 	return cols, cr.nRows, nil
 }
 
 // HeapBatchIterator scans sealed pages [loPage, hiPage) batch-at-a-time,
 // one page per batch, optionally followed by a snapshot of the in-memory
-// tail — the vectorized counterpart of HeapVersionIterator. Each batch's
-// Base is the global row index of its first physical row, the coordinate
-// MVCC visibility ranges are expressed in.
+// tail — the vectorized counterpart of HeapVersionIterator. Batches hold
+// only the projected columns. Each batch's Base is the global row index
+// of its first physical row, the coordinate MVCC visibility ranges are
+// expressed in.
 type HeapBatchIterator struct {
 	h      *Heap
+	proj   []int
+	dicts  *dictCache
 	page   int64
 	hiPage int64
 	cum    []int64
@@ -277,16 +386,18 @@ func (it *HeapBatchIterator) SetPoolTally(t *PoolTally) *HeapBatchIterator {
 }
 
 // NewBatchIterator returns a batch iterator over sealed pages
-// [loPage, hiPage). With extend=true the upper bound and the tail are
+// [loPage, hiPage) whose batches hold the table columns listed in proj,
+// in that order. With extend=true the upper bound and the tail are
 // captured atomically at call time instead (hiPage is ignored), covering
 // every row physically present at creation. stats may be nil.
-func (h *Heap) NewBatchIterator(loPage, hiPage int64, extend bool, stats *VecScanStats) *HeapBatchIterator {
+func (h *Heap) NewBatchIterator(loPage, hiPage int64, extend bool, proj []int, stats *VecScanStats) *HeapBatchIterator {
 	if stats == nil {
 		stats = &discardVecStats
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	it := &HeapBatchIterator{h: h, page: loPage, hiPage: hiPage, cum: h.pageCum, stats: stats}
+	it := &HeapBatchIterator{h: h, proj: proj, dicts: newDictCache(len(proj)),
+		page: loPage, hiPage: hiPage, cum: h.pageCum, stats: stats}
 	if extend {
 		it.hiPage = int64(len(h.pageRows))
 		it.tail = make([]sqltypes.Row, len(h.tailRows))
@@ -321,7 +432,7 @@ func (it *HeapBatchIterator) NextBatch() (*vec.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols, n, err := it.h.decodePageBatch(fr.Data(), it.stats)
+		cols, n, err := it.h.decodePageBatch(fr.Data(), it.proj, it.dicts, it.stats)
 		it.h.pool.Unpin(fr, false)
 		if err != nil {
 			return nil, err
@@ -342,8 +453,8 @@ func (it *HeapBatchIterator) NextBatch() (*vec.Batch, error) {
 		rows := it.tail
 		it.tail = nil
 		if len(rows) > 0 {
-			cols := rowsToVectors(it.h.kinds, rows)
-			it.stats.ValuesDecoded.Add(int64(len(rows) * len(it.h.kinds)))
+			cols := rowsToVectors(it.h.kinds, rows, it.proj)
+			it.stats.ValuesDecoded.Add(int64(len(rows) * len(it.proj)))
 			b := vec.NewBatch(cols, len(rows))
 			b.Base = it.tailAt
 			it.stats.Batches.Add(1)

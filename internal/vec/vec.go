@@ -265,10 +265,15 @@ func NewBatch(cols []*Vector, n int) *Batch {
 // Len returns the number of selected rows.
 func (b *Batch) Len() int { return len(b.Sel) }
 
-// Rows returns the physical row count (selected or not).
+// Rows returns the physical row count (selected or not). A batch of a
+// scan that projects no columns (COUNT(*)) spans at least past its last
+// selected row.
 func (b *Batch) Rows() int {
 	if len(b.Cols) == 0 {
-		return 0
+		if len(b.Sel) == 0 {
+			return 0
+		}
+		return b.Sel[len(b.Sel)-1] + 1
 	}
 	return b.Cols[0].Len()
 }
