@@ -107,13 +107,18 @@ const maxSpillDepth = 4
 // PartitionedHashJoin is a Grace-style parallel partitioned hash join:
 // both sides hash-partition on their equi-join keys, DOP workers build the
 // partition hash tables concurrently (each worker owns disjoint
-// partitions, so there is no shared-map locking), and probe streams match
-// against their partition's table through a Gather exchange. When the
-// in-memory build rows exceed MemoryBudget, whole partitions spill both
-// sides to temp files from Spill and are re-joined per partition after the
-// in-memory probe finishes — converting the dominant genomics query shape
-// (reads ⋈ alignments) from serial and memory-bound to parallel and
-// out-of-core.
+// partitions, so there is no shared-map locking), and every probe chain
+// matches against its partition's table in its own probe operator. When
+// the in-memory build rows exceed MemoryBudget, whole partitions spill
+// both sides to temp files from Spill and are re-joined per partition
+// after the in-memory probe finishes — converting the dominant genomics
+// query shape (reads ⋈ alignments) from serial and memory-bound to
+// parallel and out-of-core.
+//
+// Parts exposes the probe operators themselves, one per probe chain, so
+// a planner can stack further per-partition work (another join's probe,
+// a partial aggregate, a per-partition sort) on them below a single
+// exchange. Run as one operator, the join is a Gather over its parts.
 type PartitionedHashJoin struct {
 	LeftKeys  []expr.Expr
 	RightKeys []expr.Expr
@@ -151,21 +156,9 @@ type PartitionedHashJoin struct {
 	// buffering them and evicting mid-build. Requires Spill.
 	PrePartition int
 
-	ctx        *Context
-	stats      *JoinStats
-	prof       *obs.OpProfile
-	bloom      *BlockedBloom
-	tables     []map[string][]sqltypes.Row
-	spilled    []bool
-	buildSpill []SpillFile
-	probeSpill []SpillFile
-	gather     *Gather
-	gatherDone bool
-	sub        *PartitionedHashJoin
-	subBuild   SpillFile
-	subProbe   SpillFile
-	subIdx     int
-	opened     bool
+	// op runs the join: a Gather over the parts, or the single part when
+	// the probe side is one stream.
+	op Operator
 }
 
 // buildInputs returns the build-side chains and key expressions.
@@ -250,91 +243,162 @@ func rowMemBytes(row sqltypes.Row) int64 {
 	return n + 24 // slice header
 }
 
-// Open partitions the build side (spilling over-budget partitions),
-// builds the in-memory partition tables with DOP workers, and starts the
-// parallel probe.
+// Open starts the join's parts: under a Gather exchange when the probe
+// side has several chains, directly otherwise.
 func (j *PartitionedHashJoin) Open(ctx *Context) error {
-	j.ctx = ctx
-	j.stats = &statsFrom(ctx).Join
-	j.prof = profFrom(ctx)
+	parts := j.Parts()
+	op := parts[0]
+	if len(parts) > 1 {
+		op = &Gather{Children: parts}
+	}
+	if err := op.Open(ctx); err != nil {
+		return err
+	}
+	j.op = op
+	return nil
+}
+
+// Next returns the next joined row.
+func (j *PartitionedHashJoin) Next() (sqltypes.Row, bool, error) {
+	return j.op.Next()
+}
+
+// Close stops the parts, which release the spill files and tables.
+func (j *PartitionedHashJoin) Close() error {
+	if j.op == nil {
+		return nil
+	}
+	err := j.op.Close()
+	j.op = nil
+	return err
+}
+
+// Parts returns one probe operator per probe chain, all sharing one
+// build of the partition tables. The first part to Open runs the build
+// and the others wait for it; a build error fails every part's Open. No
+// part waits for another after that: the part whose probe stream ends
+// last joins the spilled partitions (every probe row has been routed by
+// then), and the last part to Close frees the shared state. Each part is
+// opened at most once; a part whose Open fails needs no Close.
+func (j *PartitionedHashJoin) Parts() []Operator {
+	chains, keys := j.probeInputs()
+	b := &phjBuild{j: j}
+	b.streaming.Store(int32(len(chains)))
+	b.live.Store(int32(len(chains)))
+	parts := make([]Operator, len(chains))
+	for i, ch := range chains {
+		parts[i] = &phjProbe{b: b, child: ch, keys: keys}
+	}
+	return parts
+}
+
+// phjBuild is the state the probe parts of one join share: the in-memory
+// partition tables, the Bloom filter and the spilled partitions' files.
+// Everything but the probe spill files (SpillFile.Append is
+// concurrency-safe) is read-only once the build has run.
+type phjBuild struct {
+	j    *PartitionedHashJoin
+	once sync.Once
+	err  error
+
+	bloom      *BlockedBloom
+	tables     []map[string][]sqltypes.Row
+	spilled    []bool
+	buildSpill []SpillFile
+	probeSpill []SpillFile
+
+	streaming atomic.Int32 // parts whose probe stream has not ended
+	live      atomic.Int32 // parts not yet closed (or failed to open)
+}
+
+// open runs the build once; every caller gets its error.
+func (b *phjBuild) open(ctx *Context) error {
+	b.once.Do(func() {
+		if b.err = b.build(ctx); b.err != nil {
+			b.releaseSpills()
+		}
+	})
+	return b.err
+}
+
+// release drops one part's hold on the shared state; the last one frees
+// the spill files and tables.
+func (b *phjBuild) release() {
+	if b.live.Add(-1) == 0 {
+		b.releaseSpills()
+		b.tables, b.bloom = nil, nil
+	}
+}
+
+// build partitions the build side (spilling over-budget partitions),
+// builds the in-memory partition tables with DOP workers, and creates
+// the probe spill files of the spilled partitions.
+func (b *phjBuild) build(ctx *Context) error {
+	j := b.j
+	stats := &statsFrom(ctx).Join
+	prof := profFrom(ctx)
 	p := j.Partitions
 	if p < 1 {
 		p = DefaultJoinPartitions
 	}
-	j.tables = make([]map[string][]sqltypes.Row, p)
-	j.spilled = make([]bool, p)
-	j.buildSpill = make([]SpillFile, p)
-	j.probeSpill = make([]SpillFile, p)
-	j.gather = nil
-	j.gatherDone = false
-	j.sub, j.subBuild, j.subProbe = nil, nil, nil
-	j.subIdx = 0
-	j.opened = true
-	j.bloom = nil
+	b.tables = make([]map[string][]sqltypes.Row, p)
+	b.spilled = make([]bool, p)
+	b.buildSpill = make([]SpillFile, p)
+	b.probeSpill = make([]SpillFile, p)
 	if j.Bloom {
 		est := j.BuildRowsEstimate
 		if est <= 0 {
 			est = 1 << 16
 		}
-		j.bloom = NewBlockedBloom(est)
+		b.bloom = NewBlockedBloom(est)
 	}
 	if j.PrePartition > 0 && j.Spill != nil {
-		n := j.PrePartition
-		if n > p {
-			n = p
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < min(j.PrePartition, p); i++ {
 			f, err := j.Spill.Create()
 			if err != nil {
-				j.releaseSpills()
 				return err
 			}
-			j.buildSpill[i] = f
-			j.spilled[i] = true
-			j.stats.SpilledPartitions.Add(1)
-			j.prof.AddSpill(0, 1, 0)
+			b.buildSpill[i] = f
+			b.spilled[i] = true
+			stats.SpilledPartitions.Add(1)
+			prof.AddSpill(0, 1, 0)
 		}
 	}
 
-	partRows, partKeys, err := j.partitionBuildSide(ctx, p)
+	partRows, partKeys, err := b.partitionBuildSide(ctx, p)
 	if err != nil {
-		j.releaseSpills()
 		return err
 	}
-	if err := j.buildTables(ctx, partRows, partKeys); err != nil {
-		j.releaseSpills()
-		return err
-	}
+	b.buildTables(ctx, partRows, partKeys)
 	// Spilled build partitions need their probe rows captured too.
-	for i, sp := range j.spilled {
+	for i, sp := range b.spilled {
 		if !sp {
 			continue
 		}
 		f, err := j.Spill.Create()
 		if err != nil {
-			j.releaseSpills()
 			return err
 		}
-		j.probeSpill[i] = f
+		b.probeSpill[i] = f
 	}
-	probeChains, probeKeys := j.probeInputs()
-	workers := make([]Operator, len(probeChains))
-	for i, ch := range probeChains {
-		workers[i] = &phjProbe{j: j, child: ch, keys: probeKeys}
-	}
-	j.gather = &Gather{Children: workers}
-	return j.gather.Open(ctx)
+	return nil
 }
 
 // partitionBuildSide drains the build input (through an unordered Gather
 // when the planner supplied parallel chains, so the scan itself overlaps
 // I/O) and routes each row to its partition, spilling the largest
-// partitions whenever the buffered bytes exceed the budget.
-func (j *PartitionedHashJoin) partitionBuildSide(ctx *Context, p int) ([][]sqltypes.Row, [][]string, error) {
+// partitions whenever the buffered bytes exceed the budget. Buffered rows
+// are cloned even off a Gather: a gathered row shares its slab's arena
+// with rows of every other partition, so keeping it would keep evicted
+// and spilled rows resident. Row counters tally locally and flush every
+// gatherSlab rows and on return.
+func (b *phjBuild) partitionBuildSide(ctx *Context, p int) ([][]sqltypes.Row, [][]string, error) {
+	j := b.j
+	stats := &statsFrom(ctx).Join
+	prof := profFrom(ctx)
 	chains, keys := j.buildInputs()
 	var next func() (sqltypes.Row, bool, error)
 	var closeInput func() error
-	needClone := true
 	if len(chains) == 1 {
 		ch := chains[0]
 		if err := ch.Open(ctx); err != nil {
@@ -347,8 +411,20 @@ func (j *PartitionedHashJoin) partitionBuildSide(ctx *Context, p int) ([][]sqlty
 			return nil, nil, err
 		}
 		next, closeInput = g.Next, g.Close
-		needClone = false // gather already clones into fresh rows
 	}
+
+	var buildRows, spilledRows int64
+	flush := func() {
+		if buildRows != 0 {
+			stats.BuildRows.Add(buildRows)
+		}
+		if spilledRows != 0 {
+			stats.SpilledBuildRows.Add(spilledRows)
+			prof.AddSpill(0, 0, spilledRows)
+		}
+		buildRows, spilledRows = 0, 0
+	}
+	defer flush()
 
 	partRows := make([][]sqltypes.Row, p)
 	partKeys := make([][]string, p)
@@ -376,22 +452,21 @@ func (j *PartitionedHashJoin) partitionBuildSide(ctx *Context, p int) ([][]sqlty
 		if null {
 			continue
 		}
-		j.stats.BuildRows.Add(1)
-		if j.bloom != nil {
-			j.bloom.Add(bloomKeyHash(keyBuf))
+		if buildRows++; buildRows == gatherSlab {
+			flush()
+		}
+		if b.bloom != nil {
+			b.bloom.Add(bloomKeyHash(keyBuf))
 		}
 		pt := int(partitionHash(keyBuf, j.Level) % uint64(p))
-		if j.spilled[pt] {
-			if err := j.buildSpill[pt].Append(row); err != nil {
+		if b.spilled[pt] {
+			if err := b.buildSpill[pt].Append(row); err != nil {
 				return fail(err)
 			}
-			j.stats.SpilledBuildRows.Add(1)
-			j.prof.AddSpill(0, 0, 1)
+			spilledRows++
 			continue
 		}
-		if needClone {
-			row = row.Clone()
-		}
+		row = row.Clone()
 		partRows[pt] = append(partRows[pt], row)
 		partKeys[pt] = append(partKeys[pt], string(keyBuf))
 		sz := rowMemBytes(row) + int64(len(keyBuf))
@@ -400,7 +475,7 @@ func (j *PartitionedHashJoin) partitionBuildSide(ctx *Context, p int) ([][]sqlty
 		for j.MemoryBudget > 0 && memBytes > j.MemoryBudget {
 			victim := -1
 			for i := range partBytes {
-				if !j.spilled[i] && len(partRows[i]) > 0 &&
+				if !b.spilled[i] && len(partRows[i]) > 0 &&
 					(victim < 0 || partBytes[i] > partBytes[victim]) {
 					victim = i
 				}
@@ -421,11 +496,11 @@ func (j *PartitionedHashJoin) partitionBuildSide(ctx *Context, p int) ([][]sqlty
 					return fail(err)
 				}
 			}
-			j.stats.SpilledPartitions.Add(1)
-			j.stats.SpilledBuildRows.Add(int64(len(partRows[victim])))
-			j.prof.AddSpill(0, 1, int64(len(partRows[victim])))
-			j.buildSpill[victim] = f
-			j.spilled[victim] = true
+			stats.SpilledPartitions.Add(1)
+			stats.SpilledBuildRows.Add(int64(len(partRows[victim])))
+			prof.AddSpill(0, 1, int64(len(partRows[victim])))
+			b.buildSpill[victim] = f
+			b.spilled[victim] = true
 			memBytes -= partBytes[victim]
 			partBytes[victim] = 0
 			partRows[victim] = nil
@@ -441,22 +516,16 @@ func (j *PartitionedHashJoin) partitionBuildSide(ctx *Context, p int) ([][]sqlty
 // buildTables constructs the in-memory partition hash tables with up to
 // DOP workers; worker w owns partitions w, w+DOP, ... so no table is
 // shared between goroutines.
-func (j *PartitionedHashJoin) buildTables(ctx *Context, partRows [][]sqltypes.Row, partKeys [][]string) error {
+func (b *phjBuild) buildTables(ctx *Context, partRows [][]sqltypes.Row, partKeys [][]string) {
 	p := len(partRows)
-	workers := ctx.DOP
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > p {
-		workers = p
-	}
+	workers := min(max(ctx.DOP, 1), p)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < p; i += workers {
-				if j.spilled[i] || len(partRows[i]) == 0 {
+				if b.spilled[i] || len(partRows[i]) == 0 {
 					continue
 				}
 				m := make(map[string][]sqltypes.Row, len(partRows[i]))
@@ -464,83 +533,225 @@ func (j *PartitionedHashJoin) buildTables(ctx *Context, partRows [][]sqltypes.Ro
 					k := partKeys[i][r]
 					m[k] = append(m[k], row)
 				}
-				j.tables[i] = m
+				b.tables[i] = m
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// releaseSpills frees every live spill file.
+func (b *phjBuild) releaseSpills() {
+	for i := range b.buildSpill {
+		if b.buildSpill[i] != nil {
+			b.buildSpill[i].Release()
+			b.buildSpill[i] = nil
+		}
+		if b.probeSpill[i] != nil {
+			b.probeSpill[i].Release()
+			b.probeSpill[i] = nil
+		}
+	}
+}
+
+// phjProbe is one part of a partitioned hash join: it streams its probe
+// chain, matches rows whose partition is in memory (the tables are
+// read-only by now, so lookups are lock-free) and routes rows of spilled
+// partitions to the partition's probe file. If its stream ends last, it
+// then joins the spilled partitions one at a time.
+type phjProbe struct {
+	b     *phjBuild
+	child Operator
+	keys  []expr.Expr
+
+	ctx    *Context
+	stats  *JoinStats
+	prof   *obs.OpProfile
+	opened bool
+	ended  bool // the probe stream ended and was counted down
+	spills bool // this part joins the spilled partitions
+	tally  probeTally
+
+	pending []sqltypes.Row
+	current sqltypes.Row
+	keyVals sqltypes.Row
+	keyBuf  []byte
+	out     sqltypes.Row
+
+	subIdx   int
+	sub      *PartitionedHashJoin
+	subBuild SpillFile
+	subProbe SpillFile
+}
+
+// probeTally holds a probe worker's counters between flushes, so the
+// per-row work touches no shared cache line.
+type probeTally struct {
+	rows, checks, drops, spilled int64
+	dropsByPart                  [DefaultJoinPartitions]int64
+}
+
+// Open runs (or waits for) the shared build, then opens the probe chain.
+func (w *phjProbe) Open(ctx *Context) error {
+	if err := w.b.open(ctx); err != nil {
+		w.b.release()
+		return err
+	}
+	if err := w.child.Open(ctx); err != nil {
+		w.b.release()
+		return err
+	}
+	w.ctx = ctx
+	w.stats = &statsFrom(ctx).Join
+	w.prof = profFrom(ctx)
+	w.keyVals = make(sqltypes.Row, len(w.keys))
+	w.opened = true
 	return nil
 }
 
-// Next returns joined rows: first the streamed in-memory matches from the
-// probe gather, then — once every probe worker has finished routing — the
-// recursive joins of the spilled partitions, one partition at a time.
-func (j *PartitionedHashJoin) Next() (sqltypes.Row, bool, error) {
+// Next produces the part's next joined row.
+func (w *phjProbe) Next() (sqltypes.Row, bool, error) {
+	b := w.b
+	p := len(b.spilled)
 	for {
-		if !j.gatherDone {
-			row, ok, err := j.gather.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return row, true, nil
-			}
-			j.gatherDone = true
-			if err := j.gather.Close(); err != nil {
-				return nil, false, err
-			}
-			j.gather = nil
-			// The in-memory tables are dead weight from here on: the
-			// spilled-partition recursion re-reads both sides from disk,
-			// and each recursion level builds its own budget-sized tables.
-			// Freeing them keeps resident build memory near one budget
-			// instead of one per recursion level.
-			j.tables = nil
+		if len(w.pending) > 0 {
+			build := w.pending[0]
+			w.pending = w.pending[1:]
+			return w.combine(w.current, build), true, nil
 		}
-		if j.sub != nil {
-			row, ok, err := j.sub.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return row, true, nil
-			}
-			if err := j.finishSub(); err != nil {
-				return nil, false, err
-			}
-			continue
+		if w.ended {
+			return w.nextSpilled()
 		}
-		started, err := j.startNextSpilled()
+		row, ok, err := w.child.Next()
 		if err != nil {
 			return nil, false, err
 		}
-		if !started {
-			return nil, false, nil
+		if !ok {
+			w.ended = true
+			w.flush()
+			if b.streaming.Add(-1) == 0 {
+				// Every part has routed its last probe row: the spilled
+				// partitions' probe files are complete. The in-memory
+				// tables are dead weight from here on: each recursion
+				// builds its own budget-sized tables, and freeing these
+				// keeps resident build memory near one budget.
+				w.spills = true
+				b.tables = nil
+			}
+			continue
+		}
+		var null bool
+		w.keyBuf, null, err = appendJoinKey(w.keyBuf, w.keys, w.keyVals, row)
+		if err != nil {
+			return nil, false, err
+		}
+		if null {
+			continue
+		}
+		if w.tally.rows++; w.tally.rows == gatherSlab {
+			w.flush()
+		}
+		// The Bloom check runs before any routing: a dropped row is never
+		// partitioned and — the expensive case — never spilled. Dropped
+		// rows still attribute to the partition they would have routed to,
+		// so monitoring can see which partitions the filter spared.
+		pt := int(partitionHash(w.keyBuf, b.j.Level) % uint64(p))
+		if b.bloom != nil {
+			w.tally.checks++
+			if !b.bloom.MayContain(bloomKeyHash(w.keyBuf)) {
+				w.tally.drops++
+				w.tally.dropsByPart[pt%DefaultJoinPartitions]++
+				continue
+			}
+		}
+		if b.spilled[pt] {
+			if err := b.probeSpill[pt].Append(row); err != nil {
+				return nil, false, err
+			}
+			w.tally.spilled++
+			continue
+		}
+		matches := b.tables[pt][string(w.keyBuf)]
+		if len(matches) == 0 {
+			continue
+		}
+		// The child keeps row valid until its next Next, which waits for
+		// the matches to drain; combine copies it out.
+		w.current = row
+		w.pending = matches
+	}
+}
+
+// flush adds the tallied counters to the shared stats and profile.
+func (w *phjProbe) flush() {
+	t := &w.tally
+	if t.rows != 0 {
+		w.stats.ProbeRows.Add(t.rows)
+	}
+	if t.checks != 0 {
+		w.stats.BloomChecks.Add(t.checks)
+		w.prof.AddBloom(t.checks, t.drops)
+	}
+	if t.drops != 0 {
+		w.stats.BloomDrops.Add(t.drops)
+		for i, n := range t.dropsByPart {
+			if n != 0 {
+				w.stats.BloomDropsByPart[i].Add(n)
+			}
+		}
+	}
+	if t.spilled != 0 {
+		w.stats.SpilledProbeRows.Add(t.spilled)
+		w.prof.AddSpill(0, 0, t.spilled)
+	}
+	*t = probeTally{}
+}
+
+// nextSpilled streams the recursive joins of the spilled partitions, one
+// partition at a time, on the part that owns them.
+func (w *phjProbe) nextSpilled() (sqltypes.Row, bool, error) {
+	if !w.spills {
+		return nil, false, nil
+	}
+	for {
+		if w.sub != nil {
+			row, ok, err := w.sub.Next()
+			if err != nil || ok {
+				return row, ok, err
+			}
+			if err := w.finishSub(); err != nil {
+				return nil, false, err
+			}
+		}
+		started, err := w.startNextSpilled()
+		if err != nil || !started {
+			return nil, false, err
 		}
 	}
 }
 
 // startNextSpilled opens the recursive join over the next non-empty
 // spilled partition; returns false when none remain.
-func (j *PartitionedHashJoin) startNextSpilled() (bool, error) {
-	for j.subIdx < len(j.spilled) {
-		i := j.subIdx
-		j.subIdx++
-		if !j.spilled[i] {
+func (w *phjProbe) startNextSpilled() (bool, error) {
+	b, j := w.b, w.b.j
+	for w.subIdx < len(b.spilled) {
+		i := w.subIdx
+		w.subIdx++
+		if !b.spilled[i] {
 			continue
 		}
-		bf, pf := j.buildSpill[i], j.probeSpill[i]
-		j.buildSpill[i], j.probeSpill[i] = nil, nil
+		bf, pf := b.buildSpill[i], b.probeSpill[i]
+		b.buildSpill[i], b.probeSpill[i] = nil, nil
 		// Spill volume is accounted when the partition's files retire:
 		// every spilled partition passes through here exactly once (error
 		// paths release without retiring, and never produce a profile).
-		j.prof.AddSpill(bf.Bytes()+pf.Bytes(), 0, 0)
+		w.prof.AddSpill(bf.Bytes()+pf.Bytes(), 0, 0)
 		if bf.Rows() == 0 || pf.Rows() == 0 {
 			bf.Release()
 			pf.Release()
 			continue
 		}
-		j.stats.SpillRecursions.Add(1)
+		w.stats.SpillRecursions.Add(1)
 		buildSrc := spillSource(bf)
 		probeSrc := spillSource(pf)
 		sub := &PartitionedHashJoin{
@@ -561,27 +772,61 @@ func (j *PartitionedHashJoin) startNextSpilled() (bool, error) {
 		} else {
 			sub.Left, sub.Right = probeSrc, buildSrc
 		}
-		if err := sub.Open(j.ctx); err != nil {
+		if err := sub.Open(w.ctx); err != nil {
 			bf.Release()
 			pf.Release()
 			return false, err
 		}
-		j.sub, j.subBuild, j.subProbe = sub, bf, pf
+		w.sub, w.subBuild, w.subProbe = sub, bf, pf
 		return true, nil
 	}
 	return false, nil
 }
 
 // finishSub closes the current recursive join and frees its spill files.
-func (j *PartitionedHashJoin) finishSub() error {
-	err := j.sub.Close()
-	if rerr := j.subBuild.Release(); err == nil {
+func (w *phjProbe) finishSub() error {
+	err := w.sub.Close()
+	if rerr := w.subBuild.Release(); err == nil {
 		err = rerr
 	}
-	if rerr := j.subProbe.Release(); err == nil {
+	if rerr := w.subProbe.Release(); err == nil {
 		err = rerr
 	}
-	j.sub, j.subBuild, j.subProbe = nil, nil, nil
+	w.sub, w.subBuild, w.subProbe = nil, nil, nil
+	return err
+}
+
+// combine renders probe+build in left-then-right output order.
+func (w *phjProbe) combine(probe, build sqltypes.Row) sqltypes.Row {
+	left, right := probe, build
+	if w.b.j.BuildLeft {
+		left, right = build, probe
+	}
+	if cap(w.out) < len(left)+len(right) {
+		w.out = make(sqltypes.Row, len(left)+len(right))
+	}
+	w.out = w.out[:len(left)+len(right)]
+	copy(w.out, left)
+	copy(w.out[len(left):], right)
+	return w.out
+}
+
+// Close flushes the counters, closes the probe chain and any recursive
+// join, and drops the part's hold on the shared state.
+func (w *phjProbe) Close() error {
+	if !w.opened {
+		return nil
+	}
+	w.opened = false
+	w.flush()
+	err := w.child.Close()
+	if w.sub != nil {
+		if serr := w.finishSub(); err == nil {
+			err = serr
+		}
+	}
+	w.pending, w.current = nil, nil
+	w.b.release()
 	return err
 }
 
@@ -594,140 +839,3 @@ func spillSource(f SpillFile) *Source {
 		},
 	}
 }
-
-// releaseSpills frees every live spill file (error paths and Close).
-func (j *PartitionedHashJoin) releaseSpills() {
-	for i := range j.buildSpill {
-		if j.buildSpill[i] != nil {
-			j.buildSpill[i].Release()
-			j.buildSpill[i] = nil
-		}
-		if j.probeSpill[i] != nil {
-			j.probeSpill[i].Release()
-			j.probeSpill[i] = nil
-		}
-	}
-}
-
-// Close stops the probe, releases spill files and frees the tables.
-func (j *PartitionedHashJoin) Close() error {
-	if !j.opened {
-		return nil
-	}
-	j.opened = false
-	var err error
-	if j.gather != nil {
-		err = j.gather.Close()
-		j.gather = nil
-	}
-	if j.sub != nil {
-		if serr := j.finishSub(); err == nil {
-			err = serr
-		}
-	}
-	j.releaseSpills()
-	j.tables = nil
-	j.bloom = nil
-	return err
-}
-
-// phjProbe is one probe worker: it streams its chain, matches rows whose
-// partition is in memory (the tables are read-only by now, so lookups are
-// lock-free) and routes rows of spilled partitions to the partition's
-// probe file (SpillFile.Append is concurrency-safe).
-type phjProbe struct {
-	j     *PartitionedHashJoin
-	child Operator
-	keys  []expr.Expr
-
-	pending []sqltypes.Row
-	current sqltypes.Row
-	keyVals sqltypes.Row
-	keyBuf  []byte
-	out     sqltypes.Row
-}
-
-// Open opens the worker's probe chain.
-func (w *phjProbe) Open(ctx *Context) error {
-	w.keyVals = make(sqltypes.Row, len(w.keys))
-	w.pending, w.current = nil, nil
-	return w.child.Open(ctx)
-}
-
-// Next produces the worker's next matched row.
-func (w *phjProbe) Next() (sqltypes.Row, bool, error) {
-	j := w.j
-	p := len(j.spilled)
-	for {
-		if len(w.pending) > 0 {
-			build := w.pending[0]
-			w.pending = w.pending[1:]
-			return w.combine(w.current, build), true, nil
-		}
-		row, ok, err := w.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		var null bool
-		w.keyBuf, null, err = appendJoinKey(w.keyBuf, w.keys, w.keyVals, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if null {
-			continue
-		}
-		j.stats.ProbeRows.Add(1)
-		// The Bloom check runs before any routing: a dropped row is never
-		// partitioned and — the expensive case — never spilled. Dropped
-		// rows still attribute to the partition they would have routed to,
-		// so monitoring can see which partitions the filter spared.
-		if j.bloom != nil {
-			j.stats.BloomChecks.Add(1)
-			j.prof.AddBloom(1, 0)
-			if !j.bloom.MayContain(bloomKeyHash(w.keyBuf)) {
-				j.stats.BloomDrops.Add(1)
-				j.prof.AddBloom(0, 1)
-				pt := int(partitionHash(w.keyBuf, j.Level) % uint64(p))
-				j.stats.BloomDropsByPart[pt%DefaultJoinPartitions].Add(1)
-				continue
-			}
-		}
-		pt := int(partitionHash(w.keyBuf, j.Level) % uint64(p))
-		if j.spilled[pt] {
-			if err := j.probeSpill[pt].Append(row); err != nil {
-				return nil, false, err
-			}
-			j.stats.SpilledProbeRows.Add(1)
-			j.prof.AddSpill(0, 0, 1)
-			continue
-		}
-		tab := j.tables[pt]
-		if tab == nil {
-			continue
-		}
-		matches := tab[string(w.keyBuf)]
-		if len(matches) == 0 {
-			continue
-		}
-		w.current = row.Clone()
-		w.pending = matches
-	}
-}
-
-// combine renders probe+build in left-then-right output order.
-func (w *phjProbe) combine(probe, build sqltypes.Row) sqltypes.Row {
-	left, right := probe, build
-	if w.j.BuildLeft {
-		left, right = build, probe
-	}
-	if cap(w.out) < len(left)+len(right) {
-		w.out = make(sqltypes.Row, len(left)+len(right))
-	}
-	w.out = w.out[:len(left)+len(right)]
-	copy(w.out, left)
-	copy(w.out[len(left):], right)
-	return w.out
-}
-
-// Close closes the probe chain.
-func (w *phjProbe) Close() error { return w.child.Close() }

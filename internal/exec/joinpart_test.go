@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -245,6 +246,108 @@ func TestPartitionedJoinBudgetWithoutStore(t *testing.T) {
 	}
 	if _, err := Run(&Context{DOP: 2}, j); err == nil {
 		t.Fatal("expected budget-without-spill-store error")
+	}
+}
+
+// genRows streams keys start, start+step, ... (n rows) with a payload of
+// width bytes, reusing one row and one payload buffer for every Next the
+// way page-backed scans do. It holds no rows, so heap growth measured
+// around a join over it is the join's own.
+type genRows struct {
+	start, step, n, width int
+	i                     int
+	row                   sqltypes.Row
+	payload               []byte
+}
+
+func (g *genRows) Open(*Context) error {
+	g.i = 0
+	g.row = make(sqltypes.Row, 2)
+	g.payload = make([]byte, g.width)
+	return nil
+}
+
+func (g *genRows) Next() (sqltypes.Row, bool, error) {
+	if g.i == g.n {
+		return nil, false, nil
+	}
+	key := g.start + g.i*g.step
+	g.i++
+	for b := range g.payload {
+		g.payload[b] = byte(key + b)
+	}
+	g.row[0], g.row[1] = i64(int64(key)), sqltypes.NewBytes(g.payload)
+	return g.row, true, nil
+}
+
+func (g *genRows) Close() error { return nil }
+
+// TestPartitionedJoinBuildHeapStaysNearBudget: with a multi-chain build
+// side (gathered through the exchange's slabs), the rows of evicted and
+// spilled partitions must become garbage. Live heap after the build is
+// bounded by a small multiple of the budget, not by the build side.
+func TestPartitionedJoinBuildHeapStaysNearBudget(t *testing.T) {
+	const (
+		chains   = 4
+		perChain = 10000
+		width    = 256
+		budget   = 512 << 10
+	)
+	build := make([]Operator, chains)
+	for c := range build {
+		build[c] = &genRows{start: c, step: chains, n: perChain, width: width}
+	}
+	buildBytes := int64(chains*perChain) * (2*48 + 24 + width) // rowMemBytes per row
+	j := &PartitionedHashJoin{
+		LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)},
+		LeftParts: build, Right: &genRows{start: 0, step: 7, n: 100, width: 8},
+		BuildLeft: true, MemoryBudget: budget, Spill: newTestSpillStore(t),
+	}
+	stats := &ExecStats{}
+	ctx := &Context{DOP: chains, Stats: stats}
+	parts := j.Parts()
+	if len(parts) != 1 {
+		t.Fatalf("serial probe side: got %d parts, want 1", len(parts))
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := parts[0].Open(ctx); err != nil { // runs the build
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+
+	rows := 0
+	for {
+		row, ok, err := parts[0].Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		key := int(row[0].I)
+		if got := row[1].B; len(got) != width || got[0] != byte(key) || got[width-1] != byte(key+width-1) {
+			t.Fatalf("key %d: build payload corrupted", key)
+		}
+		rows++
+	}
+	if err := parts[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 100 {
+		t.Fatalf("got %d joined rows, want 100", rows)
+	}
+	if stats.Join.SpilledPartitions.Load() == 0 {
+		t.Fatal("expected spilled partitions")
+	}
+	t.Logf("build side %d KB, budget %d KB, live heap after build %d KB", buildBytes>>10, budget>>10, live>>10)
+	if limit := int64(6 * budget); live > limit {
+		t.Fatalf("live heap after the build is %d KB, want <= %d KB (budget %d KB, build side %d KB)",
+			live>>10, limit>>10, budget>>10, buildBytes>>10)
 	}
 }
 

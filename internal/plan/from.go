@@ -604,18 +604,17 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 	}
 
 	buildEst := build.est
-	leftNode, rightNode := left.node, right.node
-	// Declared before buildOp: under DOP > 1 the Build factory lives on
-	// the gather node above, so the closure binds the join operator to
+	// Declared before the factories: they bind the join's operators to
 	// this display node's profile (spill and Bloom activity then renders
-	// on the join line, not the exchange line).
+	// on the join line, not the exchange line), whether the exchange
+	// above builds the whole join or a consumer takes its parts.
 	inner := &Node{
 		Op:      "Hash Match (Partitioned Inner Join)",
 		Cols:    combined,
 		Est:     outEst,
 		OwnProf: true,
 	}
-	buildOp := func() (exec.Operator, error) {
+	newJoin := func() (*exec.PartitionedHashJoin, error) {
 		j := &exec.PartitionedHashJoin{
 			LeftKeys:          leftKeys,
 			RightKeys:         rightKeys,
@@ -627,34 +626,12 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 			BuildRowsEstimate: buildEst,
 			PrePartition:      prePartition,
 		}
-		if left.parts != nil && left.partsN > 1 {
-			ops, err := left.parts()
-			if err != nil {
-				return nil, err
-			}
-			j.LeftParts = ops
-		} else {
-			op, err := buildChild(leftNode)
-			if err != nil {
-				return nil, err
-			}
-			j.Left = op
+		var err error
+		if j.LeftParts, j.Left, err = joinInput(left); err != nil {
+			return nil, err
 		}
-		if right.parts != nil && right.partsN > 1 {
-			ops, err := right.parts()
-			if err != nil {
-				return nil, err
-			}
-			j.RightParts = ops
-		} else {
-			op, err := buildChild(rightNode)
-			if err != nil {
-				return nil, err
-			}
-			j.Right = op
-		}
-		if inner.Prof != nil {
-			return exec.InstrumentOp(j, inner.Prof), nil
+		if j.RightParts, j.Right, err = joinInput(right); err != nil {
+			return nil, err
 		}
 		return j, nil
 	}
@@ -667,23 +644,61 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 		detail += fmt.Sprintf(" PRESPILL:%d", prePartition)
 	}
 	inner.Detail = detail
-	inner.Children = []*Node{leftNode, rightNode}
-	node := inner
-	if pl.DOP > 1 {
-		node = &Node{
-			Op:       "Parallelism (Gather Streams)",
-			Detail:   fmt.Sprintf("DOP %d", pl.DOP),
-			Children: []*Node{inner},
-			Cols:     combined,
-			Est:      outEst,
-			Build:    buildOp,
+	inner.Children = []*Node{left.node, right.node}
+	buildJoin := func() (exec.Operator, error) {
+		j, err := newJoin()
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		// Serial DOP still uses the partitioned operator: partitioning is
-		// what lets an over-budget build side spill instead of OOM.
-		inner.Build = buildOp
+		if inner.Prof != nil {
+			return exec.InstrumentOp(j, inner.Prof), nil
+		}
+		return j, nil
 	}
-	return &relation{node: node, cols: combined, est: outEst}
+
+	// Serial probe: the join is one operator (partitioning is still what
+	// lets an over-budget build side spill instead of OOM).
+	if !probe.partitioned() {
+		inner.Build = buildJoin
+		return &relation{node: inner, cols: combined, est: outEst}
+	}
+	// Partitioned probe: one probe part per probe chain. Consumers that
+	// take the parts stack their per-partition work on them (a join
+	// above probes in parallel, GROUP BY gets partial aggregates) and
+	// bypass the exchange; otherwise the exchange runs the whole join.
+	parts := func() ([]exec.Operator, error) {
+		j, err := newJoin()
+		if err != nil {
+			return nil, err
+		}
+		ops := j.Parts()
+		if inner.Prof != nil {
+			for i := range ops {
+				ops[i] = exec.InstrumentOp(ops[i], inner.Prof)
+			}
+		}
+		return ops, nil
+	}
+	node := &Node{
+		Op:       "Parallelism (Gather Streams)",
+		Detail:   fmt.Sprintf("DOP %d", probe.partsN),
+		Children: []*Node{inner},
+		Cols:     combined,
+		Est:      outEst,
+		Build:    buildJoin,
+	}
+	return &relation{node: node, cols: combined, est: outEst, parts: parts, partsN: probe.partsN}
+}
+
+// joinInput builds a partitioned join's input: its partition chains when
+// the relation has them, else its single stream.
+func joinInput(rel *relation) ([]exec.Operator, exec.Operator, error) {
+	if rel.partitioned() {
+		ops, err := rel.parts()
+		return ops, nil, err
+	}
+	op, err := buildChild(rel.node)
+	return nil, op, err
 }
 
 func identExprs(ids []*sqlparse.Ident) []sqlparse.Expr {

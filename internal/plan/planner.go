@@ -34,6 +34,9 @@ type relation struct {
 	stats *stats.TableStats
 }
 
+// partitioned reports whether consumers can run per partition chain.
+func (r *relation) partitioned() bool { return r.parts != nil && r.partsN > 1 }
+
 // PlanSelect plans a SELECT into a physical plan tree.
 func (pl *Planner) PlanSelect(sel *sqlparse.Select) (*Node, error) {
 	// FROM (with WHERE pushdown).
@@ -388,7 +391,7 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 	// one budgeted partial aggregate per worker below the exchange, a
 	// final AggState.Merge pass above it. Partials that exceed the agg
 	// memory budget freeze partitions and spill raw rows to temp files.
-	if rel.parts != nil && rel.partsN > 1 {
+	if rel.partitioned() {
 		parts := rel.parts
 		partsN := rel.partsN
 		scanChildren := rel.node.Children
@@ -555,7 +558,7 @@ func filterRelation(rel *relation, pred expr.Expr) *relation {
 // under the sort memory budget).
 func (pl *Planner) windowRelation(rel *relation, keys []exec.SortKey, grouped bool) *relation {
 	cols := append(append([]ColMeta{}, rel.cols...), ColMeta{Name: "row_number"})
-	if !grouped && rel.parts != nil && rel.partsN > 1 {
+	if !grouped && rel.partitioned() {
 		node := &Node{
 			Op:       "Sequence Project (ROW_NUMBER)",
 			Detail:   fmt.Sprintf("ORDER BY:[%s]", describeSortKeys(keys)),
@@ -620,7 +623,7 @@ func describeSortKeys(keys []exec.SortKey) string {
 // budget, parallelized into per-partition sorts below an order-
 // preserving merge exchange when the input is partitionable.
 func (pl *Planner) sortNode(keys []exec.SortKey, rel *relation) *Node {
-	if rel.parts != nil && rel.partsN > 1 {
+	if rel.partitioned() {
 		return pl.parallelSortNode(keys, rel)
 	}
 	// Interesting order: a serial input already streaming in the requested
@@ -710,7 +713,7 @@ func (pl *Planner) buildParallelSort(keys []exec.SortKey, rel *relation) (*exec.
 // so key-order tie-breaking is preserved.
 func (pl *Planner) topNNode(n int64, keys []exec.SortKey, rel *relation) *Node {
 	child := rel.node
-	if rel.parts != nil && rel.partsN > 1 && rel.ordered == nil && n > 0 {
+	if rel.partitioned() && rel.ordered == nil && n > 0 {
 		parts := rel.parts
 		below := child.Children
 		if len(below) == 0 {
